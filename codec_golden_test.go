@@ -28,6 +28,13 @@ func goldenCases(t *testing.T) map[string]*Request {
 		t.Fatal(err)
 	}
 	forest := gen.ForestUnion(24, 2, 1)
+	// The hub pushes arboricity-3 sparse coloring onto the Theorem 5.2 plan,
+	// whose Lemma 5.1 merges carry LOCAL-sized offers: this is the golden
+	// that pins merge's coloring and its 512-bit MaxMessageBits.
+	hub, err := gen.ForestUnionHub(300, 2, 150, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lg, cover, _, err := LineCover(gen.ForestUnion(12, 2, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -38,6 +45,7 @@ func goldenCases(t *testing.T) map[string]*Request {
 		"greedy_cycle":  {Algorithm: AlgoEdgeGreedy, Graph: cycle},
 		"star_x1":       {Algorithm: AlgoEdgeStar, Graph: Spec(reg), X: 1},
 		"sparse_forest": {Algorithm: AlgoEdgeSparse, Graph: Spec(forest), Arboricity: 3},
+		"sparse_hub":    {Algorithm: AlgoEdgeSparse, Graph: Spec(hub), Arboricity: 3},
 		"sparse_52_q":   {Algorithm: AlgoEdgeSparse52, Graph: Spec(forest), Arboricity: 3, Q: 2.5},
 		"sparse_params": {Algorithm: AlgoEdgeSparse53, Graph: Spec(forest), Params: Params{"arboricity": 3}},
 		"delta1_cycle":  {Algorithm: AlgoVertexDelta1, Graph: cycle},
