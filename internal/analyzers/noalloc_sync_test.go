@@ -27,14 +27,12 @@ var noallocManifest = map[string]string{
 	// TestWordPlaneZeroAlloc (words_test.go), the bandwidth accounting
 	// pins (bandwidth_test.go), and the bench gate's allocs_per_round=0
 	// columns (BENCH_simcore.json).
-	"internal/sim.(instance).stepVertex":      "sim round loop, any plane",
-	"internal/sim.(instance).stepVertexWord":  "sim round loop, word plane",
-	"internal/sim.(instance).retireRound":     "sim round loop, halt retirement",
-	"internal/sim.(instance).retireInto":      "sim round loop, halt retirement",
-	"internal/sim.(instance).retireWordsInto": "sim round loop, halt retirement",
+	"internal/sim.(instance).stepVertex":  "sim round loop, vertex step",
+	"internal/sim.(instance).retireRound": "sim round loop, halt retirement",
+	"internal/sim.(instance).silence":     "sim round loop, halt retirement",
 	// Pinned by the linial_test.go AllocsPerRun step pin and the
 	// algo/linial bench-gate row.
-	"internal/linial.(machine).StepWord":  "linial reduction step",
+	"internal/linial.(machine).Step":      "linial reduction step",
 	"internal/linial.(machine).applyStep": "linial polynomial evaluation",
 	// Pinned at 0 allocs/observation by TestInstrumentsZeroAlloc
 	// (obs_test.go).

@@ -68,7 +68,7 @@ func HPartition(ctx context.Context, eng sim.Exec, g *graph.Graph, threshold int
 	n := g.N()
 	part := make([]int, n)
 	factory := func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		return sim.WrapWord(&peelMachine{threshold: threshold, sink: &part[info.V]})
+		return &peelMachine{threshold: threshold, sink: &part[info.V]}
 	}
 	stats, err := eng.Run(ctx, sim.NewTopology(g), factory, n+4)
 	if err != nil {
@@ -89,16 +89,16 @@ func HPartition(ctx context.Context, eng sim.Exec, g *graph.Graph, threshold int
 	}, nil
 }
 
-// peelMachine implements one vertex of the peeling program on the packed
-// word plane. Active vertices broadcast a token every round; silence means
-// the sender has been peeled. A vertex reading ≤ threshold active
-// neighbors in round r is peeled into part r−1.
+// peelMachine implements one vertex of the peeling program. Active
+// vertices broadcast a token every round; silence means the sender has
+// been peeled. A vertex reading ≤ threshold active neighbors in round r is
+// peeled into part r−1.
 type peelMachine struct {
 	threshold int
 	sink      *int
 }
 
-func (pm *peelMachine) StepWord(round int, in, out []sim.Word) bool {
+func (pm *peelMachine) Step(round int, in, out []sim.Word) bool {
 	if round == 0 {
 		if len(in) == 0 {
 			*pm.sink = 0

@@ -66,8 +66,13 @@ func Merge(ctx context.Context, eng sim.Exec, spec MergeSpec) (*MergeResult, err
 		return &MergeResult{EdgeColors: spec.EdgeColors}, nil
 	}
 	n := g.N()
-	errs := make([]error, n)
-	assigned := make([]int, n)
+	run := &mergeRun{
+		g:        g,
+		spec:     &spec,
+		errs:     make([]error, n),
+		assigned: make([]int, n),
+		offers:   make([][]int64, n),
+	}
 	factory := func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
 		v := info.V
 		role := roleIdle
@@ -76,14 +81,7 @@ func Merge(ctx context.Context, eng sim.Exec, spec MergeSpec) (*MergeResult, err
 		} else if spec.RoleB[v] {
 			role = roleB
 		}
-		return &mergeMachine{
-			g:       g,
-			v:       v,
-			role:    role,
-			spec:    &spec,
-			errSink: &errs[v],
-			cntSink: &assigned[v],
-		}
+		return &mergeMachine{run: run, v: v, role: role}
 	}
 	stats, err := eng.Run(ctx, sim.NewTopology(g), factory, 2*spec.D+4)
 	if err != nil {
@@ -91,10 +89,10 @@ func Merge(ctx context.Context, eng sim.Exec, spec MergeSpec) (*MergeResult, err
 	}
 	total := 0
 	for v := 0; v < n; v++ {
-		if errs[v] != nil {
-			return nil, errs[v]
+		if run.errs[v] != nil {
+			return nil, run.errs[v]
 		}
-		total += assigned[v]
+		total += run.assigned[v]
 	}
 	return &MergeResult{EdgeColors: spec.EdgeColors, Assigned: total, Stats: stats}, nil
 }
@@ -107,35 +105,36 @@ const (
 	roleB
 )
 
-// offerMsg carries the colors currently on all edges of the offering
-// A-endpoint.
-type offerMsg struct {
-	colors []int64
+// Merge speaks three kinds of words: a role word (round 0), an offer, and
+// a reply carrying the color the B-endpoint assigned. An offer is too wide
+// for one word, so it travels as offerTag|v, a handle to the sender's
+// entry of the run's offer table; colors and roles stay far below
+// offerTag.
+const offerTag sim.Word = 1 << 62
+
+// mergeRun is the state one Merge execution shares among its machines.
+// Each vertex writes only its own entries.
+type mergeRun struct {
+	g        *graph.Graph
+	spec     *MergeSpec
+	errs     []error
+	assigned []int
+	// offers is the payload table behind offer words: offers[v] holds the
+	// colors on all edges of A-vertex v as of its latest offer. The sender
+	// refills its entry in the round it sends, reusing the slice; the
+	// receiver reads it in the next round, before the sender's next offer
+	// (two rounds later) overwrites it.
+	offers [][]int64
 }
-
-// Bits implements sim.Sizer: one word per carried color (the Lemma 5.1
-// procedure is the one genuinely LOCAL-sized message in this codebase).
-func (o offerMsg) Bits() int64 { return 64 * int64(len(o.colors)) }
-
-// replyMsg carries the color assigned by the B-endpoint.
-type replyMsg struct {
-	color int64
-}
-
-// Bits implements sim.Sizer.
-func (replyMsg) Bits() int64 { return 64 }
 
 type mergeMachine struct {
-	g       *graph.Graph
-	v       int
-	role    mergeRole
-	spec    *MergeSpec
-	errSink *error
-	cntSink *int
+	run  *mergeRun
+	v    int
+	role mergeRole
 
-	// A-side state.
-	crossPorts []int   // ports of my uncolored crossing edges, label i = index i−1
-	offerBuf   []int64 // reusable offer payload (consumed by the receiver before the next overwrite)
+	// A-side state: ports of my uncolored crossing edges, label i = index
+	// i−1.
+	crossPorts []int
 	// B-side state: bitset palettes over [0, Palette) (colors at or above
 	// the crossing palette can never be picked, so they are not tracked).
 	// myColors marks the colors on my incident edges (kept fresh);
@@ -145,30 +144,38 @@ type mergeMachine struct {
 	offerScratch []uint64
 }
 
+// WordBits implements sim.WordSizer: an offer costs one word per carried
+// color (the Lemma 5.1 procedure is the one genuinely LOCAL-sized message
+// in this codebase); role and reply words cost one word.
+func (mm *mergeMachine) WordBits(w sim.Word) int64 {
+	if w&offerTag != 0 {
+		return 64 * int64(len(mm.run.offers[w&^offerTag]))
+	}
+	return 64
+}
+
 // markColor inserts c (which must be in [0, Palette)) into the bitset.
 func markColor(set []uint64, c int64) {
 	set[c>>6] |= 1 << (uint(c) & 63)
 }
 
-func (mm *mergeMachine) Step(round int, in []sim.Message, out []sim.Message) bool {
-	spec := mm.spec
-	adj := mm.g.Adj(mm.v)
+func (mm *mergeMachine) Step(round int, in, out []sim.Word) bool {
+	run := mm.run
+	spec := run.spec
+	adj := run.g.Adj(mm.v)
 	switch {
 	case round == 0:
-		sim.SendAll(out, int64(mm.role))
+		sim.SendAllWords(out, sim.Word(mm.role))
 		return mm.role == roleIdle
 	case round == 1 && mm.role == roleA:
 		// Learn neighbor roles; label my uncolored crossing edges.
 		for p, a := range adj {
-			if spec.EdgeColors[a.Edge] >= 0 {
-				continue
-			}
-			if r, ok := in[p].(int64); ok && mergeRole(r) == roleB {
+			if spec.EdgeColors[a.Edge] < 0 && in[p] == sim.Word(roleB) {
 				mm.crossPorts = append(mm.crossPorts, p)
 			}
 		}
 		if len(mm.crossPorts) > spec.D {
-			*mm.errSink = fmt.Errorf("arbor: merge: vertex %d has %d crossing edges, bound D=%d", mm.v, len(mm.crossPorts), spec.D)
+			run.errs[mm.v] = fmt.Errorf("arbor: merge: vertex %d has %d crossing edges, bound D=%d", mm.v, len(mm.crossPorts), spec.D)
 			return true
 		}
 		mm.sendOffer(0, out)
@@ -179,12 +186,11 @@ func (mm *mergeMachine) Step(round int, in []sim.Message, out []sim.Message) boo
 		i := (round - 1) / 2
 		if i >= 1 && i <= len(mm.crossPorts) {
 			p := mm.crossPorts[i-1]
-			rep, ok := in[p].(replyMsg)
-			if !ok {
-				*mm.errSink = fmt.Errorf("arbor: merge: vertex %d missing reply for label %d", mm.v, i)
+			if in[p] == sim.NoWord {
+				run.errs[mm.v] = fmt.Errorf("arbor: merge: vertex %d missing reply for label %d", mm.v, i)
 				return true
 			}
-			spec.EdgeColors[adj[p].Edge] = rep.color
+			spec.EdgeColors[adj[p].Edge] = in[p]
 		}
 		if i >= len(mm.crossPorts) {
 			return true // all my labels are colored
@@ -203,20 +209,19 @@ func (mm *mergeMachine) Step(round int, in []sim.Message, out []sim.Message) boo
 				}
 			}
 		}
-		for p, m := range in {
-			offer, ok := m.(offerMsg)
-			if !ok {
+		for p, w := range in {
+			if w == sim.NoWord || w&offerTag == 0 {
 				continue
 			}
-			c, found := mm.pickColor(offer.colors)
+			c, found := mm.pickColor(run.offers[w&^offerTag])
 			if !found {
-				*mm.errSink = fmt.Errorf("arbor: merge: vertex %d found no free color below %d", mm.v, spec.Palette)
+				run.errs[mm.v] = fmt.Errorf("arbor: merge: vertex %d found no free color below %d", mm.v, spec.Palette)
 				return true
 			}
 			spec.EdgeColors[adj[p].Edge] = c
 			markColor(mm.myColors, c)
-			*mm.cntSink++
-			out[p] = replyMsg{color: c}
+			run.assigned[mm.v]++
+			out[p] = c
 		}
 		if round >= 2*spec.D {
 			return true // the last possible offer arrived this round
@@ -230,32 +235,31 @@ func (mm *mergeMachine) Step(round int, in []sim.Message, out []sim.Message) boo
 	}
 }
 
-// sendOffer emits the label-(i+1) offer: the colors of all my edges. The
-// payload slice is the machine's reusable buffer: the receiver consumes it
-// in the very next round, before the next sendOffer (two rounds later)
-// overwrites it.
-func (mm *mergeMachine) sendOffer(i int, out []sim.Message) {
+// sendOffer emits the label-(i+1) offer: a handle to my offer-table entry,
+// refilled with the colors of all my edges.
+func (mm *mergeMachine) sendOffer(i int, out []sim.Word) {
 	if i >= len(mm.crossPorts) {
 		return
 	}
-	adj := mm.g.Adj(mm.v)
-	if mm.offerBuf == nil {
-		mm.offerBuf = make([]int64, 0, len(adj))
+	run := mm.run
+	adj := run.g.Adj(mm.v)
+	colors := run.offers[mm.v][:0]
+	if colors == nil {
+		colors = make([]int64, 0, len(adj))
 	}
-	colors := mm.offerBuf[:0]
 	for _, a := range adj {
-		if c := mm.spec.EdgeColors[a.Edge]; c >= 0 {
+		if c := run.spec.EdgeColors[a.Edge]; c >= 0 {
 			colors = append(colors, c)
 		}
 	}
-	mm.offerBuf = colors
-	out[mm.crossPorts[i]] = offerMsg{colors: colors}
+	run.offers[mm.v] = colors
+	out[mm.crossPorts[i]] = offerTag | sim.Word(mm.v)
 }
 
 // pickColor returns the smallest color < Palette avoiding my colors and the
 // offered colors, scanning the two bitset palettes word-wise.
 func (mm *mergeMachine) pickColor(offered []int64) (int64, bool) {
-	pal := mm.spec.Palette
+	pal := mm.run.spec.Palette
 	for _, c := range offered {
 		if c >= 0 && c < pal {
 			markColor(mm.offerScratch, c)

@@ -2,8 +2,8 @@ package bench
 
 // The simulator-core perf suite behind BENCH_simcore.json: fixed workloads
 // over the flat CSR + arena data plane (internal/sim, DESIGN.md §7) and
-// end-to-end runs of the paper's algorithms over the packed word plane and
-// the de-allocated hot paths (DESIGN.md §8), measured with the stdlib
+// end-to-end runs of the paper's algorithms over the de-allocated hot
+// paths (DESIGN.md §8), measured with the stdlib
 // benchmark machinery and emitted as machine-readable results.
 // `colorbench -json` writes the report; `colorbench -json -check FILE`
 // re-runs the suite and fails on regressions against a committed baseline —
@@ -69,7 +69,7 @@ type SimCoreResult struct {
 	Messages int64 `json:"messages"`
 	// MaxWordBits is the largest single message of the run in bits — the
 	// bandwidth of the hottest edge, as accounted by each machine's
-	// WordSizer (64 for unsized words/messages). Deterministic: a drift
+	// WordSizer (64 for unsized words). Deterministic: a drift
 	// means some program changed what it puts on the wire.
 	MaxWordBits int64 `json:"max_word_bits"`
 	// CongestViolations counts executed rounds whose hottest edge exceeded
@@ -111,58 +111,38 @@ const (
 	simCoreCDEdges = 6_000
 )
 
-// wavefrontFactory is the canonical any-plane workload: vertices exchange
-// word-sized payloads boxed through the general Message slot and halt in
+// exchangeMachine sends the word-sized payload round&0x7f on every port
+// each round, folds what it receives into an accumulator, and halts after
+// round stop.
+type exchangeMachine struct {
+	stop int
+	acc  int64
+}
+
+func (m *exchangeMachine) Step(round int, in, out []sim.Word) bool {
+	for _, w := range in {
+		if w != sim.NoWord {
+			m.acc += w
+		}
+	}
+	sim.SendAllWords(out, sim.Word(round&0x7f))
+	return round >= m.stop
+}
+
+// wavefrontFactory is the canonical plane workload: vertices halt in
 // staggered waves (vertex v runs 1 + ID mod span rounds), the termination
 // pattern of the repository's algorithms.
 func wavefrontFactory(span int) sim.Factory {
 	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		stop := 1 + int(info.ID)%span
-		var acc int64
-		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
-			for _, m := range in {
-				if m != nil {
-					acc += m.(int64)
-				}
-			}
-			sim.SendAll(out, int64(round&0x7f))
-			return round >= stop-1
-		})
+		return &exchangeMachine{stop: int(info.ID) % span}
 	}
 }
 
 // exchangeFactory keeps every vertex live for the whole execution — the
-// dense-traffic bound of the any plane.
+// dense-traffic bound of the plane.
 func exchangeFactory(rounds int) sim.Factory {
 	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		var acc int64
-		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
-			for _, m := range in {
-				if m != nil {
-					acc += m.(int64)
-				}
-			}
-			sim.SendAll(out, int64(round&0x7f))
-			return round >= rounds-1
-		})
-	}
-}
-
-// exchangeWordsFactory is exchangeFactory on the packed word plane: the
-// same traffic pattern with zero boxing, measuring the fast path the
-// algorithm programs ride.
-func exchangeWordsFactory(rounds int) sim.Factory {
-	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		var acc int64
-		return sim.WrapWord(sim.WordFunc(func(round int, in, out []sim.Word) bool {
-			for _, w := range in {
-				if w != sim.NoWord {
-					acc += w
-				}
-			}
-			sim.SendAllWords(out, int64(round&0x7f))
-			return round >= rounds-1
-		}))
+		return &exchangeMachine{stop: rounds - 1}
 	}
 }
 
@@ -172,25 +152,14 @@ func exchangeWordsFactory(rounds int) sim.Factory {
 // the 64-bit default. Its workload must stay violation-free under the
 // sim.CongestCapBits cap — and allocation-free with the accountant riding.
 type sizedExchangeMachine struct {
-	rounds int
-	acc    int64
-}
-
-func (m *sizedExchangeMachine) StepWord(round int, in, out []sim.Word) bool {
-	for _, w := range in {
-		if w != sim.NoWord {
-			m.acc += w
-		}
-	}
-	sim.SendAllWords(out, sim.Word(round&0x7f))
-	return round >= m.rounds-1
+	exchangeMachine
 }
 
 func (m *sizedExchangeMachine) WordBits(w sim.Word) int64 { return 7 }
 
 func exchangeSizedFactory(rounds int) sim.Factory {
 	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		return sim.WrapWord(&sizedExchangeMachine{rounds: rounds})
+		return &sizedExchangeMachine{exchangeMachine{stop: rounds - 1}}
 	}
 }
 
@@ -343,7 +312,7 @@ func RunSimCore(ctx context.Context) (*SimCoreReport, error) {
 		NumCPU:    runtime.NumCPU(),
 	}
 
-	// The CONGEST-audited word-plane workloads run with a capped bandwidth
+	// The CONGEST-audited plane workloads run with a capped bandwidth
 	// accountant attached (DESIGN.md §9). The unsized variant is accounted
 	// at the 64-bit default and deterministically violates the cap every
 	// messaging round — pinning the violation count itself; the sized
@@ -360,9 +329,8 @@ func RunSimCore(ctx context.Context) (*SimCoreReport, error) {
 		{"plane/wavefront/sequential-10k", sim.Sequential, wavefrontFactory, true},
 		{"plane/wavefront/parallel-10k", sim.Parallel, wavefrontFactory, false},
 		{"plane/exchange/sequential-10k", sim.Sequential, exchangeFactory, true},
-		{"plane/exchange-words/sequential-10k", sim.Sequential, exchangeWordsFactory, true},
 		{"plane/exchange-words-congest/sequential-10k",
-			sim.Instrumented(sim.Sequential, nil, &sim.Bandwidth{CapBits: congestCap}), exchangeWordsFactory, true},
+			sim.Instrumented(sim.Sequential, nil, &sim.Bandwidth{CapBits: congestCap}), exchangeFactory, true},
 		{"plane/exchange-words-sized/sequential-10k",
 			sim.Instrumented(sim.Sequential, nil, &sim.Bandwidth{CapBits: congestCap}), exchangeSizedFactory, true},
 		{"plane/exchange/reverse-10k", sim.ReverseSequential, exchangeFactory, true},

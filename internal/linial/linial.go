@@ -158,8 +158,8 @@ func FinalPalette(m0 int64, delta int) int64 {
 	return s[len(s)-1].M
 }
 
-// machine is the per-vertex Linial program on the packed word plane
-// (colors are single words, so every payload rides sim.Word). The two
+// machine is the per-vertex Linial program (colors are single words, so
+// every payload is one sim.Word). The two
 // coefficient buffers are per-machine scratch slabs sized once for the
 // widest schedule step and reused every round, so the steady-state rounds
 // perform no heap allocation.
@@ -179,15 +179,15 @@ func newMachine(info sim.NodeInfo, schedule []Step, sink *int64) sim.Machine {
 	if info.Label >= 0 {
 		start = info.Label
 	}
-	return sim.WrapWord(&machine{schedule: schedule, color: start, sink: sink})
+	return &machine{schedule: schedule, color: start, sink: sink}
 }
 
-// StepWord implements sim.WordMachine. Round 0 broadcasts the starting
+// Step implements sim.Machine. Round 0 broadcasts the starting
 // color; round r ≥ 1 applies schedule[r-1] to the colors received in round
 // r-1 and broadcasts the result, halting after the last step.
 //
 //distcolor:noalloc
-func (mc *machine) StepWord(round int, in, out []sim.Word) bool {
+func (mc *machine) Step(round int, in, out []sim.Word) bool {
 	if round == 0 {
 		if len(mc.schedule) == 0 {
 			*mc.sink = mc.color

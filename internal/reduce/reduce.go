@@ -41,7 +41,7 @@ func TrimClasses(ctx context.Context, eng sim.Exec, t *sim.Topology, m, target i
 	}
 	colors := make([]int64, t.G.N())
 	factory := func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		return sim.WrapWord(&trimMachine{color: info.Label, m: m, target: target, sink: &colors[info.V]})
+		return &trimMachine{color: info.Label, m: m, target: target, sink: &colors[info.V]}
 	}
 	stats, err := eng.Run(ctx, t, factory, int(m-target)+3)
 	if err != nil {
@@ -62,9 +62,8 @@ type trimMachine struct {
 	scratch []int32
 }
 
-// StepWord implements sim.WordMachine: colors are single words, so the
-// program runs on the packed plane.
-func (tm *trimMachine) StepWord(round int, in, out []sim.Word) bool {
+// Step implements sim.Machine: colors are single words.
+func (tm *trimMachine) Step(round int, in, out []sim.Word) bool {
 	// Round r processes class m-r (r ≥ 1); round 0 only broadcasts.
 	if round > 0 {
 		class := tm.m - int64(round)
@@ -128,7 +127,7 @@ func KuhnWattenhofer(ctx context.Context, eng sim.Exec, t *sim.Topology, m, targ
 	schedule := kwSchedule(m, target)
 	colors := make([]int64, t.G.N())
 	factory := func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		return sim.WrapWord(&kwMachine{color: info.Label, schedule: schedule, sink: &colors[info.V]})
+		return &kwMachine{color: info.Label, schedule: schedule, sink: &colors[info.V]}
 	}
 	stats, err := eng.Run(ctx, t, factory, len(schedule)+3)
 	if err != nil {
@@ -178,8 +177,8 @@ type kwMachine struct {
 	scratch  []int32 // stamped occupancy buffer, see smallestFree
 }
 
-// StepWord implements sim.WordMachine.
-func (km *kwMachine) StepWord(round int, in, out []sim.Word) bool {
+// Step implements sim.Machine.
+func (km *kwMachine) Step(round int, in, out []sim.Word) bool {
 	if round > 0 {
 		r := km.schedule[round-1]
 		if km.color%r.b == r.s {

@@ -7,30 +7,31 @@ import (
 	"repro/internal/graph"
 )
 
-// sizedMsg is a test payload with an explicit bit size.
-type sizedMsg struct{ n int64 }
+// sizedMsg is a test machine whose every word is accounted as n bits.
+type sizedMsg struct {
+	machineFunc
+	n int64
+}
 
-func (s sizedMsg) Bits() int64 { return s.n }
+func (s sizedMsg) WordBits(Word) int64 { return s.n }
 
 func TestBitAccounting(t *testing.T) {
-	// Path 0-1-2: vertex 0 sends a 128-bit message, vertex 2 a plain int64
-	// (64 bits), vertex 1 nothing; everyone halts after one exchange.
+	// Path 0-1-2: vertex 0 sends a 128-bit message, vertex 2 an unsized
+	// word (64 bits), vertex 1 nothing; everyone halts after one exchange.
 	g := graph.Path(3)
 	f := func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
-		return FuncMachine(func(round int, in []Message, out []Message) bool {
-			if round == 0 {
-				switch info.ID {
-				case 0:
-					SendAll(out, sizedMsg{n: 128})
-				case 2:
-					SendAll(out, int64(7))
-				}
-				return false
+		step := machineFunc(func(round int, in, out []Word) bool {
+			if round == 0 && info.ID != 1 {
+				SendAllWords(out, 7)
 			}
-			return true
+			return round > 0
 		})
+		if info.ID == 0 {
+			return sizedMsg{machineFunc: step, n: 128}
+		}
+		return step
 	}
-	stats, err := RunSequential(context.Background(), NewTopology(g), f, 5)
+	stats, err := Sequential.Run(context.Background(), NewTopology(g), f, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,19 +62,19 @@ func TestBitAccountingCombinators(t *testing.T) {
 func TestBitAccountingEnginesAgree(t *testing.T) {
 	g := graph.Complete(9)
 	f := func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
-		return FuncMachine(func(round int, in []Message, out []Message) bool {
+		return sizedMsg{n: info.ID + 1, machineFunc: func(round int, in, out []Word) bool {
 			if round < 2 {
-				SendAll(out, sizedMsg{n: info.ID + 1})
+				SendAllWords(out, info.ID)
 				return false
 			}
 			return true
-		})
+		}}
 	}
-	s1, err := RunSequential(context.Background(), NewTopology(g), f, 5)
+	s1, err := Sequential.Run(context.Background(), NewTopology(g), f, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := RunParallel(context.Background(), NewTopology(g), f, 5)
+	s2, err := Parallel.Run(context.Background(), NewTopology(g), f, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

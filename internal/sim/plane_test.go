@@ -5,13 +5,13 @@ package sim_test
 // implementation it replaced, and pins its performance contract:
 //
 //   - runReference below IS the old data plane (per-vertex inbox/outbox
-//     slices, portRef delivery), kept as the executable specification of
-//     one synchronous round;
+//     word slices, portRef delivery), kept as the executable specification
+//     of one synchronous round;
 //   - the equivalence matrix runs programs × graphs × engines and demands
 //     identical per-vertex results and identical Stats against it;
 //   - the algorithm-level matrix runs real colorings (Linial, the §4 star
-//     partition) under every engine and demands identical colorings and
-//     Stats;
+//     partition, the §5 arboricity pipeline with its Lemma 5.1 merges)
+//     under every engine and demands identical colorings and Stats;
 //   - the allocation tests pin the sequential engine's steady state at
 //     zero heap allocations per round;
 //   - BenchmarkSimPlane* measure the plane against the reference on the
@@ -21,8 +21,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
+	"repro/internal/arbor"
 	"repro/internal/cd"
 	"repro/internal/cliques"
 	"repro/internal/gen"
@@ -44,11 +46,21 @@ type refPort struct {
 
 type refInstance struct {
 	machines  []sim.Machine
+	sizers    []sim.WordSizer
 	done      []bool
 	remaining int
-	in        [][]sim.Message
-	out       [][]sim.Message
+	in        [][]sim.Word
+	out       [][]sim.Word
 	peer      [][]refPort
+}
+
+// silentSlots returns deg slots holding NoWord.
+func silentSlots(deg int) []sim.Word {
+	s := make([]sim.Word, deg)
+	for p := range s {
+		s[p] = sim.NoWord
+	}
+	return s
 }
 
 func newRefInstance(t *sim.Topology, f sim.Factory) *refInstance {
@@ -56,10 +68,11 @@ func newRefInstance(t *sim.Topology, f sim.Factory) *refInstance {
 	n := g.N()
 	inst := &refInstance{
 		machines:  make([]sim.Machine, n),
+		sizers:    make([]sim.WordSizer, n),
 		done:      make([]bool, n),
 		remaining: n,
-		in:        make([][]sim.Message, n),
-		out:       make([][]sim.Message, n),
+		in:        make([][]sim.Word, n),
+		out:       make([][]sim.Word, n),
 		peer:      make([][]refPort, n),
 	}
 	portOf := make([]map[int32]int32, n)
@@ -73,8 +86,8 @@ func newRefInstance(t *sim.Topology, f sim.Factory) *refInstance {
 	for v := 0; v < n; v++ {
 		adj := g.Adj(v)
 		deg := len(adj)
-		inst.in[v] = make([]sim.Message, deg)
-		inst.out[v] = make([]sim.Message, deg)
+		inst.in[v] = silentSlots(deg)
+		inst.out[v] = silentSlots(deg)
 		inst.peer[v] = make([]refPort, deg)
 		nbrIDs := make([]int64, deg)
 		nbrLabels := make([]int64, deg)
@@ -88,13 +101,14 @@ func newRefInstance(t *sim.Topology, f sim.Factory) *refInstance {
 			Degree: deg, N: n, MaxDeg: g.MaxDegree(),
 		}
 		inst.machines[v] = f(info, nbrIDs, nbrLabels)
+		inst.sizers[v], _ = inst.machines[v].(sim.WordSizer)
 	}
 	return inst
 }
 
-func refBits(m sim.Message) int64 {
-	if s, ok := m.(sim.Sizer); ok {
-		return s.Bits()
+func (inst *refInstance) bits(v int, w sim.Word) int64 {
+	if inst.sizers[v] != nil {
+		return inst.sizers[v].WordBits(w)
 	}
 	return 64
 }
@@ -122,16 +136,16 @@ func runReference(t *sim.Topology, f sim.Factory, maxRounds int) (sim.Stats, err
 			}
 			out := inst.out[v]
 			for p := range out {
-				out[p] = nil
+				out[p] = sim.NoWord
 			}
 			if inst.machines[v].Step(round, inst.in[v], out) {
 				inst.done[v] = true
 				inst.remaining--
 			}
 			for p := range out {
-				if out[p] != nil {
+				if out[p] != sim.NoWord {
 					stats.Messages++
-					b := refBits(out[p])
+					b := inst.bits(v, out[p])
 					stats.Bits += b
 					if b > stats.MaxMessageBits {
 						stats.MaxMessageBits = b
@@ -149,7 +163,7 @@ func runReference(t *sim.Topology, f sim.Factory, maxRounds int) (sim.Stats, err
 			if inst.done[v] {
 				out := inst.out[v]
 				for p := range out {
-					out[p] = nil
+					out[p] = sim.NoWord
 				}
 			}
 		}
@@ -173,22 +187,23 @@ func planeRandomGraph(seed int64, n int, p float64) *graph.Graph {
 	return b.MustBuild()
 }
 
-// sizedMsg exercises the Sizer accounting path of Stats.
-type sizedMsg int64
+// stepFunc adapts a step function to sim.Machine, for the small inline
+// programs of these tests.
+type stepFunc func(round int, in, out []sim.Word) bool
 
-func (s sizedMsg) Bits() int64 { return int64(s)%13 + 14 }
+func (f stepFunc) Step(round int, in, out []sim.Word) bool { return f(round, in, out) }
 
 // sumProgram broadcasts the vertex ID, then stores the neighbor-ID sum.
 func sumProgram(results []int64) sim.Factory {
 	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
+		return stepFunc(func(round int, in, out []sim.Word) bool {
 			if round == 0 {
-				sim.SendAll(out, info.ID)
+				sim.SendAllWords(out, info.ID)
 				return info.Degree == 0
 			}
 			var sum int64
-			for _, m := range in {
-				sum += m.(int64)
+			for _, w := range in {
+				sum += w
 			}
 			results[info.V] = sum
 			return true
@@ -202,14 +217,14 @@ func sumProgram(results []int64) sim.Factory {
 func floodProgram(results []int64) sim.Factory {
 	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
 		reached := info.ID == 0
-		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
+		return stepFunc(func(round int, in, out []sim.Word) bool {
 			if reached {
-				sim.SendAll(out, int64(1))
+				sim.SendAllWords(out, 1)
 				results[info.V] = int64(round)
 				return true
 			}
-			for _, m := range in {
-				if m != nil {
+			for _, w := range in {
+				if w != sim.NoWord {
 					reached = true
 					break
 				}
@@ -219,36 +234,53 @@ func floodProgram(results []int64) sim.Factory {
 	}
 }
 
-// chattyProgram staggers halting by ID, sends on a rotating subset of
-// ports (mixing nil and non-nil slots, plain and Sizer payloads), and
-// folds everything received into a per-vertex accumulator. It exercises
-// final-message delivery, halted-sender clearing, and bit accounting.
+// chattySized tags the words chattyMachine accounts below 64 bits.
+const chattySized sim.Word = 1 << 40
+
+// chattyMachine staggers halting by ID, sends on a rotating subset of ports
+// (mixing silent slots, unsized words and words tagged chattySized, whose
+// WordBits vary with the payload), and folds everything received into a
+// per-vertex accumulator. It exercises final-message delivery,
+// halted-sender clearing, and per-word bit accounting.
+type chattyMachine struct {
+	info    sim.NodeInfo
+	results []int64
+}
+
+func (m *chattyMachine) Step(round int, in, out []sim.Word) bool {
+	acc := m.results[m.info.V]
+	for p, w := range in {
+		switch {
+		case w == sim.NoWord:
+			acc = acc*31 + 7
+		case w&chattySized != 0:
+			acc = acc*31 + w&^chattySized - int64(p)
+		default:
+			acc = acc*31 + w + int64(p)
+		}
+	}
+	m.results[m.info.V] = acc
+	for p := range out {
+		switch (p + round + int(m.info.ID)) % 3 {
+		case 0:
+			out[p] = int64(round)*1000 + m.info.ID
+		case 1:
+			out[p] = chattySized | (m.info.ID + int64(p))
+		}
+	}
+	return round >= int(m.info.ID%5)
+}
+
+func (m *chattyMachine) WordBits(w sim.Word) int64 {
+	if w&chattySized != 0 {
+		return (w&^chattySized)%13 + 14
+	}
+	return 64
+}
+
 func chattyProgram(results []int64) sim.Factory {
 	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		stop := int(info.ID%5) + 1
-		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
-			acc := results[info.V]
-			for p, m := range in {
-				switch v := m.(type) {
-				case nil:
-					acc = acc*31 + 7
-				case int64:
-					acc = acc*31 + v + int64(p)
-				case sizedMsg:
-					acc = acc*31 + int64(v) - int64(p)
-				}
-			}
-			results[info.V] = acc
-			for p := range out {
-				switch (p + round + int(info.ID)) % 3 {
-				case 0:
-					out[p] = int64(round)*1000 + info.ID
-				case 1:
-					out[p] = sizedMsg(info.ID + int64(p))
-				}
-			}
-			return round >= stop-1
-		})
+		return &chattyMachine{info: info, results: results}
 	}
 }
 
@@ -326,8 +358,7 @@ func TestDataPlaneEquivalenceMatrix(t *testing.T) {
 
 // TestAlgorithmEquivalenceMatrix runs real colorings from the seed
 // workloads under every engine — including the pre-CSR reference plane
-// (refExec, words_test.go), which carries the word-ported programs over
-// the unoptimized any-payload path: colorings and Stats must be identical
+// (refExec, words_test.go): colorings and Stats must be identical
 // bit-for-bit (DESIGN.md §4, §8).
 func TestAlgorithmEquivalenceMatrix(t *testing.T) {
 	engines := []struct {
@@ -430,6 +461,40 @@ func TestAlgorithmEquivalenceMatrix(t *testing.T) {
 			}
 		}
 	})
+	t.Run("arbor", func(t *testing.T) {
+		// The hub puts arboricity-3 coloring on the Theorem 5.2 plan, whose
+		// Lemma 5.1 merges send LOCAL-sized offers (512-bit MaxMessageBits).
+		hg, err := gen.ForestUnionHub(300, 2, 150, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want *arbor.Result
+		for _, ec := range engines {
+			opt := arbor.Options{Exec: ec.eng, VC: vc.Options{Exec: ec.eng}, Q: 3}
+			got, _, err := arbor.ColorAdaptive(context.Background(), hg, 3, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", ec.name, err)
+			}
+			if err := verify.EdgeColoring(hg, got.Colors, got.Palette); err != nil {
+				t.Fatalf("%s: improper: %v", ec.name, err)
+			}
+			if want == nil {
+				if got.Stats.MaxMessageBits <= 64 {
+					t.Fatalf("%s: MaxMessageBits %d: no merge offer was accounted", ec.name, got.Stats.MaxMessageBits)
+				}
+				want = got
+				continue
+			}
+			if got.Stats != want.Stats || got.Palette != want.Palette {
+				t.Fatalf("%s: stats/palette diverge: %+v vs %+v", ec.name, got.Stats, want.Stats)
+			}
+			for e := range want.Colors {
+				if got.Colors[e] != want.Colors[e] {
+					t.Fatalf("%s: color of edge %d differs", ec.name, e)
+				}
+			}
+		}
+	})
 	t.Run("cd", func(t *testing.T) {
 		h, err := gen.UniformHypergraph(120, 3, 360, 2017)
 		if err != nil {
@@ -470,21 +535,32 @@ func TestAlgorithmEquivalenceMatrix(t *testing.T) {
 // --- allocation regression -------------------------------------------------
 
 // exchangeProgram is the steady-state workload for allocation pinning: every
-// vertex keeps exchanging small int64 payloads (which the Go runtime
-// converts to interfaces without allocating) for a fixed number of rounds.
+// vertex keeps exchanging small word payloads for a fixed number of rounds.
 func exchangeProgram(rounds int) sim.Factory {
 	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
 		var acc int64
-		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
-			for _, m := range in {
-				if m != nil {
-					acc += m.(int64)
+		return stepFunc(func(round int, in, out []sim.Word) bool {
+			for _, w := range in {
+				if w != sim.NoWord {
+					acc += w
 				}
 			}
-			sim.SendAll(out, int64(round&0x7f))
+			sim.SendAllWords(out, int64(round&0x7f))
 			return round >= rounds-1
 		})
 	}
+}
+
+// shortLongAllocs measures the heap allocations of whole runs of 8 and of
+// 72 rounds; their difference is what 64 extra rounds cost, since setup
+// allocates identically in both. The collector is paused while measuring:
+// a GC cycle that lands in one of the two measurements makes the runtime
+// allocate for itself, and that is not the engine's allocation.
+func shortLongAllocs(run func(rounds int)) (short, long float64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	short = testing.AllocsPerRun(5, func() { run(8) })
+	long = testing.AllocsPerRun(5, func() { run(72) })
+	return short, long
 }
 
 // TestSequentialSteadyStateAllocFree pins the tentpole contract: after
@@ -496,12 +572,11 @@ func TestSequentialSteadyStateAllocFree(t *testing.T) {
 	topo := sim.NewTopology(g)
 	g.CSR() // build the cached view outside the measurement
 	run := func(rounds int) {
-		if _, err := sim.RunSequential(context.Background(), topo, exchangeProgram(rounds), rounds+2); err != nil {
+		if _, err := sim.Sequential.Run(context.Background(), topo, exchangeProgram(rounds), rounds+2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	short := testing.AllocsPerRun(5, func() { run(8) })
-	long := testing.AllocsPerRun(5, func() { run(72) })
+	short, long := shortLongAllocs(run)
 	if long != short {
 		t.Fatalf("sequential engine allocates per round: %.1f allocs over 64 extra rounds (%.1f vs %.1f)",
 			long-short, long, short)
@@ -509,18 +584,17 @@ func TestSequentialSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestReverseSequentialSteadyStateAllocFree pins the same contract for the
-// reverse engine (it shares the data plane, not the loop).
+// reverse engine (the same loop, visiting vertices from the highest index).
 func TestReverseSequentialSteadyStateAllocFree(t *testing.T) {
 	g := planeRandomGraph(6, 400, 0.04)
 	topo := sim.NewTopology(g)
 	g.CSR()
 	run := func(rounds int) {
-		if _, err := sim.RunReverseSequential(context.Background(), topo, exchangeProgram(rounds), rounds+2); err != nil {
+		if _, err := sim.ReverseSequential.Run(context.Background(), topo, exchangeProgram(rounds), rounds+2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	short := testing.AllocsPerRun(5, func() { run(8) })
-	long := testing.AllocsPerRun(5, func() { run(72) })
+	short, long := shortLongAllocs(run)
 	if long != short {
 		t.Fatalf("reverse engine allocates per round: %.1f allocs over 64 extra rounds", long-short)
 	}
@@ -564,13 +638,13 @@ func wavefrontProgram(span int) sim.Factory {
 	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
 		stop := 1 + int(info.ID)%span
 		var acc int64
-		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
-			for _, m := range in {
-				if m != nil {
-					acc += m.(int64)
+		return stepFunc(func(round int, in, out []sim.Word) bool {
+			for _, w := range in {
+				if w != sim.NoWord {
+					acc += w
 				}
 			}
-			sim.SendAll(out, int64(round&0x7f))
+			sim.SendAllWords(out, int64(round&0x7f))
 			return round >= stop-1
 		})
 	}
@@ -599,7 +673,7 @@ func BenchmarkSimPlane(b *testing.B) {
 		b.Run(wl.name+"/sequential/10k", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunSequential(context.Background(), topo, wl.prog(), benchRounds+2); err != nil {
+				if _, err := sim.Sequential.Run(context.Background(), topo, wl.prog(), benchRounds+2); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -607,7 +681,7 @@ func BenchmarkSimPlane(b *testing.B) {
 		b.Run(wl.name+"/parallel/10k", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunParallel(context.Background(), topo, wl.prog(), benchRounds+2); err != nil {
+				if _, err := sim.Parallel.Run(context.Background(), topo, wl.prog(), benchRounds+2); err != nil {
 					b.Fatal(err)
 				}
 			}

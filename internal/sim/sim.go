@@ -4,36 +4,39 @@
 // A network is a Topology: a graph whose vertices are processors with
 // distinct identifiers. An algorithm is a Factory producing one Machine per
 // vertex; a Machine is a pure state machine advanced once per round. In each
-// round every machine reads the messages its neighbors sent in the previous
-// round (one inbox slot per incident edge), updates local state, and writes
-// outgoing messages (one outbox slot per incident edge). The engine delivers
-// outboxes to inboxes between rounds. Running time is the number of rounds
-// until every machine has halted, exactly the paper's measure.
+// round every machine reads the words its neighbors sent in the previous
+// round (one inbox slot per incident edge, NoWord where nothing was sent),
+// updates local state, and writes outgoing words (one outbox slot per
+// incident edge). The engine delivers outboxes to inboxes between rounds.
+// Running time is the number of rounds until every machine has halted,
+// exactly the paper's measure.
 //
 // Knowledge model: as is standard for deterministic LOCAL algorithms
 // (KT1), a machine initially knows its own identifier, degree, the global
 // parameters n and Δ, and its neighbors' identifiers and seed labels. All
 // other information must travel over edges.
 //
-// Two engines are provided. RunSequential advances machines in index order
-// within a round — fast and allocation-free in its steady state. RunParallel
-// executes each round concurrently over contiguous vertex shards with one
-// barrier per round; messages still cross only between rounds. Machines are
-// pure functions of (state, inbox), so both engines produce bit-identical
-// executions; tests assert this.
+// Every message is one Word (words.go). A program whose messages are wider
+// than a word sends a handle into storage it owns and reports the honest
+// size through WordSizer, so Stats accounts the bits a real network would
+// carry (the Lemma 5.1 merge in internal/arbor does this for its offers).
 //
-// Data plane: all engines run over the graph's flat CSR view (graph.CSR).
-// Inboxes and outboxes are flat slabs with one slot per directed arc,
-// allocated once per run; a vertex's buffers are the slab range given by
-// the CSR offsets. Outboxes are double-buffered and swapped between
+// Engine.Run is the single entry point. Its engines share one round loop
+// and differ only in how a round visits the vertices: Sequential steps
+// them in index order, ReverseSequential in reverse index order, and
+// Parallel over contiguous vertex shards on their own goroutines with one
+// barrier per round. Messages cross only between rounds and machines are
+// pure functions of (state, inbox), so every engine produces a
+// bit-identical execution; tests assert this.
+//
+// Data plane: the engines run over the graph's flat CSR view (graph.CSR).
+// Inboxes and outboxes are flat []Word slabs with one slot per directed
+// arc, allocated once per run; a vertex's buffers are the slab range given
+// by the CSR offsets. Outboxes are double-buffered and swapped between
 // rounds, and delivery is the Mate permutation, applied lazily while
-// stepping each receiver (in[p] = prevOut[Mate[Off[v]+p]]). The message
-// representation is chosen per program: []Message (the general any plane)
-// by default, or the packed []Word fast path of words.go — no interface
-// boxing anywhere on the hot path — when every machine of the run
-// implements WordMachine. In either representation the round loop performs
-// no heap allocations — see DESIGN.md §7–§8 and the allocation-regression
-// tests.
+// stepping each receiver (in[p] = prevOut[Mate[Off[v]+p]]). The round loop
+// of the one-shard engines performs no heap allocations — see DESIGN.md
+// §7–§8 and the allocation-regression tests.
 package sim
 
 import (
@@ -46,10 +49,6 @@ import (
 	"repro/internal/graph"
 )
 
-// Message is an arbitrary payload travelling over one edge for one round.
-// nil means "no message".
-type Message any
-
 // NodeInfo is the initial knowledge of a vertex (see the package comment).
 type NodeInfo struct {
 	V      int   // vertex index within the topology (engine bookkeeping)
@@ -60,14 +59,16 @@ type NodeInfo struct {
 	MaxDeg int // Δ of the topology (global knowledge)
 }
 
-// Machine is the per-vertex state machine of an algorithm.
+// Machine is the per-vertex state machine of an algorithm. A machine that
+// also implements WordSizer gets per-word bit accounting; every other
+// machine's words are accounted as 64 bits each.
 type Machine interface {
-	// Step executes one synchronous round. in[p] holds the message sent by
-	// the neighbor on port p in the previous round (nil if none, and on
-	// round 0). The machine writes messages into out[p] (pre-cleared to
-	// nil). Step returns true when the vertex halts; a halted machine is
+	// Step executes one synchronous round. in[p] holds the word sent by
+	// the neighbor on port p in the previous round (NoWord if none, and on
+	// round 0). The machine writes words into out[p] (pre-filled with
+	// NoWord). Step returns true when the vertex halts; a halted machine is
 	// never stepped again and sends nothing.
-	Step(round int, in []Message, out []Message) bool
+	Step(round int, in, out []Word) bool
 }
 
 // Factory creates the machine for one vertex. nbrIDs[p] and nbrLabels[p]
@@ -127,19 +128,11 @@ func (t *Topology) Validate() error {
 	return nil
 }
 
-// Sizer lets a message payload report its encoded size in bits. Payloads
-// that do not implement Sizer are accounted as one machine word (64 bits).
-// The paper's model is LOCAL (unbounded messages); this accounting measures
-// how far each algorithm actually strays from CONGEST-sized messages.
-type Sizer interface {
-	Bits() int64
-}
-
 // Stats records the cost of an execution or of a composition of executions.
 type Stats struct {
 	Rounds   int
 	Messages int64
-	// Bits is the total traffic in bits under the Sizer accounting.
+	// Bits is the total traffic in bits under the WordSizer accounting.
 	Bits int64
 	// MaxMessageBits is the largest single message observed — the CONGEST
 	// yardstick (CONGEST allows O(log n) bits per message per round).
@@ -280,13 +273,13 @@ func (o observedExec) Run(ctx context.Context, t *Topology, f Factory, maxRounds
 // instance holds the shared execution state of one run.
 //
 // The message plane is laid out over the graph's CSR view (graph.CSR):
-// flat []Message slabs with one slot per directed arc. Vertex v's buffers
-// are the slab range [Off[v], Off[v+1]) — the port order of Adj(v) — so
+// flat []Word slabs with one slot per directed arc. Vertex v's buffers are
+// the slab range [Off[v], Off[v+1]) — the port order of Adj(v) — so
 // handing a machine its buffers is a slice expression, not an allocation.
 //
 // Outboxes are double-buffered: machines write outs[round%2] while reading
 // (through the inbox) what the previous round wrote into the other slab.
-// Delivery is the Mate permutation — the message arriving on v's port p is
+// Delivery is the Mate permutation — the word arriving on v's port p is
 // whatever the neighbor wrote on the opposite arc Mate[Off[v]+p] — applied
 // lazily when a vertex is stepped: its inbox window of the in slab is
 // materialized from the previous out slab right before Step, while the
@@ -295,33 +288,39 @@ func (o observedExec) Run(ctx context.Context, t *Topology, f Factory, maxRounds
 // swap is a parity flip. All slabs are allocated once per run; the round
 // loop performs no heap allocations.
 type instance struct {
-	t         *Topology
-	csr       *graph.CSR
-	machines  []Machine
+	csr      *graph.CSR
+	machines []Machine
+	// sizers holds each machine's WordSizer (nil entries use the default
+	// 64-bit accounting), asserted once so the hot loop does not.
+	sizers    []WordSizer
 	done      []bool
 	remaining int
 	// in is the inbox slab; outs are the double-buffered outbox slabs,
-	// alternating by round parity. Allocated only for any-plane runs.
-	in   []Message
-	outs [2][]Message
-	// The packed fast path (words.go): when every machine implements
-	// WordMachine the run is laid out over []Word slabs instead, the
-	// machines are stepped through wms (pre-asserted, so the hot loop does
-	// no interface assertions), and wszs holds each machine's WordSizer
-	// (nil entries use the default 64-bit accounting).
-	words bool
-	wms   []WordMachine
-	wszs  []WordSizer
-	win   []Word
-	wouts [2][]Word
-	// newly and pending are reusable scratch lists (capacity n, so appends
-	// never allocate) of the vertices that halted in the current and the
-	// previous round; retireRound drains them.
-	newly   []int32
-	pending []int32
+	// alternating by round parity.
+	in   []Word
+	outs [2][]Word
+	// shards partition the vertices into the contiguous ranges a round
+	// steps, one goroutine each when there is more than one; reverse
+	// visits each range from its highest index down. One-shard engines
+	// use the one array, so they allocate no shard slice.
+	shards  []shard
+	one     [1]shard
+	reverse bool
 }
 
-func newInstance(t *Topology, f Factory) (*instance, error) {
+// shard is one contiguous vertex range [lo, hi) of a round, with what
+// stepping it produced. newly and pending are windows of capacity hi-lo
+// (so appends never allocate) into two instance-wide halt slabs: the
+// vertices of the range that halted in the current and in the previous
+// round, which retireRound drains.
+type shard struct {
+	lo, hi  int
+	newly   []int32
+	pending []int32
+	sent    sendStats
+}
+
+func newInstance(t *Topology, f Factory, shards int, reverse bool) (*instance, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -330,13 +329,29 @@ func newInstance(t *Topology, f Factory) (*instance, error) {
 	csr := g.CSR()
 	arcs := csr.NumArcs()
 	inst := &instance{
-		t:         t,
 		csr:       csr,
 		machines:  make([]Machine, n),
+		sizers:    make([]WordSizer, n),
 		done:      make([]bool, n),
 		remaining: n,
-		newly:     make([]int32, 0, n),
-		pending:   make([]int32, 0, n),
+		in:        make([]Word, arcs),
+		outs:      [2][]Word{make([]Word, arcs), make([]Word, arcs)},
+		reverse:   reverse,
+	}
+	for _, slab := range [...][]Word{inst.in, inst.outs[0], inst.outs[1]} {
+		for j := range slab {
+			slab[j] = NoWord
+		}
+	}
+	newly, pending := make([]int32, n), make([]int32, n)
+	inst.shards = inst.one[:0]
+	if shards > 1 {
+		inst.shards = make([]shard, 0, shards)
+	}
+	chunk := (n + shards - 1) / shards
+	for lo := 0; len(inst.shards) == 0 || lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		inst.shards = append(inst.shards, shard{lo: lo, hi: hi, newly: newly[lo:lo:hi], pending: pending[lo:lo:hi]})
 	}
 	// Neighbor knowledge is carved from two flat slabs by the same CSR
 	// offsets as the message plane. Machines must treat the slices as
@@ -362,29 +377,16 @@ func newInstance(t *Topology, f Factory) (*instance, error) {
 			N:      n,
 			MaxDeg: maxDeg,
 		}
-		inst.machines[v] = f(info, nbrIDs[lo:hi:hi], nbrLabels[lo:hi:hi])
-	}
-	// Choose the message representation per program: the packed Word plane
-	// when every machine speaks it, the general any plane otherwise. Only
-	// the chosen plane's slabs are allocated.
-	if wms, wszs, ok := wordProgram(inst.machines); ok {
-		inst.words = true
-		inst.wms, inst.wszs = wms, wszs
-		inst.win = make([]Word, arcs)
-		inst.wouts = [2][]Word{make([]Word, arcs), make([]Word, arcs)}
-		for _, slab := range [...][]Word{inst.win, inst.wouts[0], inst.wouts[1]} {
-			for j := range slab {
-				slab[j] = NoWord
-			}
+		m := f(info, nbrIDs[lo:hi:hi], nbrLabels[lo:hi:hi])
+		inst.machines[v] = m
+		if s, ok := m.(WordSizer); ok {
+			inst.sizers[v] = s
 		}
-	} else {
-		inst.in = make([]Message, arcs)
-		inst.outs = [2][]Message{make([]Message, arcs), make([]Message, arcs)}
 	}
 	return inst, nil
 }
 
-// sendStats aggregates the traffic one vertex emitted in one round.
+// sendStats aggregates the traffic some vertices emitted in one round.
 type sendStats struct {
 	msgs    int64
 	bits    int64
@@ -400,21 +402,17 @@ func (a *sendStats) add(b sendStats) {
 }
 
 // stepVertex advances one machine and returns its emitted traffic plus
-// whether the vertex halted during this call, dispatching to the plane the
-// program was laid out on. In either plane the inbox window is
+// whether the vertex halted during this call. The inbox window is
 // materialized from the previous round's outbox slab through the Mate
 // permutation (this IS message delivery — fused into the step so the slots
 // are written right before Step reads them), the current outbox window is
-// cleared per the Machine contract, and the emitted slots are scanned for
-// Stats while still hot.
+// cleared to NoWord per the Machine contract, and the emitted slots are
+// scanned for Stats while still hot.
 //
 //distcolor:noalloc
 func (inst *instance) stepVertex(v, round int) (sendStats, bool) {
 	if inst.done[v] {
 		return sendStats{}, false
-	}
-	if inst.words {
-		return inst.stepVertexWord(v, round)
 	}
 	prevOut, curOut := inst.outs[(round&1)^1], inst.outs[round&1]
 	lo, hi := inst.csr.Range(v)
@@ -423,54 +421,14 @@ func (inst *instance) stepVertex(v, round int) (sendStats, bool) {
 	out := curOut[lo:hi:hi]
 	for p := range in {
 		in[p] = prevOut[mate[p]]
-		out[p] = nil
+		out[p] = NoWord
 	}
 	halted := inst.machines[v].Step(round, in, out)
 	if halted {
 		inst.done[v] = true
 	}
 	var st sendStats
-	for _, m := range out {
-		if m == nil {
-			continue
-		}
-		st.msgs++
-		if s, ok := m.(Sizer); ok {
-			b := s.Bits()
-			st.bits += b
-			if b > st.maxBits {
-				st.maxBits = b
-			}
-		} else {
-			st.bits += 64
-			if st.maxBits < 64 {
-				st.maxBits = 64
-			}
-		}
-	}
-	return st, halted
-}
-
-// stepVertexWord is stepVertex on the packed plane: same delivery, same
-// clearing discipline, with NoWord in place of nil and no boxing anywhere.
-//
-//distcolor:noalloc
-func (inst *instance) stepVertexWord(v, round int) (sendStats, bool) {
-	prevOut, curOut := inst.wouts[(round&1)^1], inst.wouts[round&1]
-	lo, hi := inst.csr.Range(v)
-	mate := inst.csr.Mate[lo:hi:hi]
-	in := inst.win[lo:hi:hi]
-	out := curOut[lo:hi:hi]
-	for p := range in {
-		in[p] = prevOut[mate[p]]
-		out[p] = NoWord
-	}
-	halted := inst.wms[v].StepWord(round, in, out)
-	if halted {
-		inst.done[v] = true
-	}
-	var st sendStats
-	sz := inst.wszs[v]
+	sz := inst.sizers[v]
 	for _, w := range out {
 		if w == NoWord {
 			continue
@@ -488,6 +446,44 @@ func (inst *instance) stepVertexWord(v, round int) (sendStats, bool) {
 	return st, halted
 }
 
+// stepShard steps every vertex of one shard in the instance's visit order.
+// It writes only its own vertices' inbox and outbox regions and its own
+// shard, so shards of one round may run concurrently.
+func (inst *instance) stepShard(s *shard, round int) {
+	s.sent = sendStats{}
+	v, end, dir := s.lo, s.hi, 1
+	if inst.reverse {
+		v, end, dir = s.hi-1, s.lo-1, -1
+	}
+	for ; v != end; v += dir {
+		st, halted := inst.stepVertex(v, round)
+		s.sent.add(st)
+		if halted {
+			s.newly = append(s.newly, int32(v))
+		}
+	}
+}
+
+// stepRound steps every shard once: inline for one shard, else one
+// goroutine per shard behind a single barrier. A worker materializes
+// inboxes from the previous round's outbox slab, which is frozen during
+// the round, so one barrier per round is all the fused data plane needs.
+func (inst *instance) stepRound(round int) {
+	if len(inst.shards) == 1 {
+		inst.stepShard(&inst.shards[0], round)
+		return
+	}
+	var wg sync.WaitGroup
+	for i := range inst.shards {
+		wg.Add(1)
+		go func(s *shard) {
+			defer wg.Done()
+			inst.stepShard(s, round)
+		}(&inst.shards[i])
+	}
+	wg.Wait()
+}
+
 // retireRound runs at the end of each round, after the slab the round read
 // from (its prevOut) has been fully consumed, and clears in that slab the
 // outbox regions of the vertices that halted this round (killing their
@@ -499,46 +495,25 @@ func (inst *instance) stepVertexWord(v, round int) (sendStats, bool) {
 //
 //distcolor:noalloc
 func (inst *instance) retireRound(round int) {
-	if inst.words {
-		consumed := inst.wouts[(round&1)^1]
-		inst.retireWordsInto(consumed, inst.newly)
-		inst.retireWordsInto(consumed, inst.pending)
-	} else {
-		consumed := inst.outs[(round&1)^1]
-		inst.retireInto(consumed, inst.newly)
-		inst.retireInto(consumed, inst.pending)
-	}
-	inst.pending, inst.newly = inst.newly, inst.pending[:0]
-}
-
-//distcolor:noalloc
-func (inst *instance) retireInto(slab []Message, vs []int32) {
-	for _, v := range vs {
-		lo, hi := inst.csr.Range(int(v))
-		for j := lo; j < hi; j++ {
-			slab[j] = nil
-		}
+	consumed := inst.outs[(round&1)^1]
+	for i := range inst.shards {
+		s := &inst.shards[i]
+		inst.silence(consumed, s.newly)
+		inst.silence(consumed, s.pending)
+		s.pending, s.newly = s.newly, s.pending[:0]
 	}
 }
 
+// silence clears the outbox regions of vs in slab.
+//
 //distcolor:noalloc
-func (inst *instance) retireWordsInto(slab []Word, vs []int32) {
+func (inst *instance) silence(slab []Word, vs []int32) {
 	for _, v := range vs {
 		lo, hi := inst.csr.Range(int(v))
 		for j := lo; j < hi; j++ {
 			slab[j] = NoWord
 		}
 	}
-}
-
-// orBackground normalizes a nil ctx (tolerated for robustness) to the
-// background context.
-func orBackground(ctx context.Context) context.Context {
-	if ctx == nil {
-		//distcolor:ignore ctxfirst nil-ctx normalization: there is no caller context to inherit here
-		return context.Background()
-	}
-	return ctx
 }
 
 // abortErr is the engine's error for a run cut short by its context; it
@@ -549,207 +524,14 @@ func abortErr(ctx context.Context, round, remaining int) error {
 	return fmt.Errorf("sim: aborted at round %d (%d vertices still running): %w", round, remaining, context.Cause(ctx))
 }
 
-// RunSequential executes the algorithm to global termination, advancing
-// vertices in index order within each round.
-func RunSequential(ctx context.Context, t *Topology, f Factory, maxRounds int) (Stats, error) {
-	return runSequential(ctx, t, f, maxRounds, nil, nil)
-}
-
-func runSequential(ctx context.Context, t *Topology, f Factory, maxRounds int, hook RoundHook, bw *Bandwidth) (Stats, error) {
-	ctx = orBackground(ctx)
-	inst, err := newInstance(t, f)
-	if err != nil {
-		return Stats{}, err
-	}
-	n := t.G.N()
-	var stats Stats
-	for round := 0; ; round++ {
-		if inst.remaining == 0 {
-			break
-		}
-		if ctx.Err() != nil {
-			return stats, abortErr(ctx, round, inst.remaining)
-		}
-		if round >= maxRounds {
-			return stats, fmt.Errorf("%w after %d rounds (%d vertices still running)", ErrRoundLimit, round, inst.remaining)
-		}
-		prevBits := stats.Bits
-		var roundMax int64
-		for v := 0; v < n; v++ {
-			st, halted := inst.stepVertex(v, round)
-			stats.Messages += st.msgs
-			stats.Bits += st.bits
-			if st.maxBits > roundMax {
-				roundMax = st.maxBits
-			}
-			if halted {
-				inst.remaining--
-				inst.newly = append(inst.newly, int32(v))
-			}
-		}
-		if roundMax > stats.MaxMessageBits {
-			stats.MaxMessageBits = roundMax
-		}
-		if bw != nil {
-			stats.CongestViolations += bw.roundDone(stats.Bits-prevBits, roundMax)
-		}
-		inst.retireRound(round)
-		stats.Rounds++
-		if hook != nil {
-			hook(RoundEvent{Round: round, Running: inst.remaining, N: n, Stats: stats,
-				RoundBits: stats.Bits - prevBits, RoundMaxBits: roundMax})
-		}
-	}
-	return stats, nil
-}
-
-// RunReverseSequential executes the algorithm stepping vertices in reverse
-// index order within each round. Synchronous message passing makes the
-// in-round order semantically irrelevant; this engine exists to *prove*
-// that — any program whose results depend on intra-round scheduling (e.g.
-// by leaking state through shared memory mid-round) will diverge from
-// RunSequential under test.
-func RunReverseSequential(ctx context.Context, t *Topology, f Factory, maxRounds int) (Stats, error) {
-	return runReverseSequential(ctx, t, f, maxRounds, nil, nil)
-}
-
-func runReverseSequential(ctx context.Context, t *Topology, f Factory, maxRounds int, hook RoundHook, bw *Bandwidth) (Stats, error) {
-	ctx = orBackground(ctx)
-	inst, err := newInstance(t, f)
-	if err != nil {
-		return Stats{}, err
-	}
-	n := t.G.N()
-	var stats Stats
-	for round := 0; ; round++ {
-		if inst.remaining == 0 {
-			break
-		}
-		if ctx.Err() != nil {
-			return stats, abortErr(ctx, round, inst.remaining)
-		}
-		if round >= maxRounds {
-			return stats, fmt.Errorf("%w after %d rounds (%d vertices still running)", ErrRoundLimit, round, inst.remaining)
-		}
-		prevBits := stats.Bits
-		var roundMax int64
-		for v := n - 1; v >= 0; v-- {
-			st, halted := inst.stepVertex(v, round)
-			stats.Messages += st.msgs
-			stats.Bits += st.bits
-			if st.maxBits > roundMax {
-				roundMax = st.maxBits
-			}
-			if halted {
-				inst.remaining--
-				inst.newly = append(inst.newly, int32(v))
-			}
-		}
-		if roundMax > stats.MaxMessageBits {
-			stats.MaxMessageBits = roundMax
-		}
-		if bw != nil {
-			stats.CongestViolations += bw.roundDone(stats.Bits-prevBits, roundMax)
-		}
-		inst.retireRound(round)
-		stats.Rounds++
-		if hook != nil {
-			hook(RoundEvent{Round: round, Running: inst.remaining, N: n, Stats: stats,
-				RoundBits: stats.Bits - prevBits, RoundMaxBits: roundMax})
-		}
-	}
-	return stats, nil
-}
-
-// RunParallel executes the algorithm with shard-per-goroutine concurrency.
-// The execution is bit-identical to RunSequential.
-func RunParallel(ctx context.Context, t *Topology, f Factory, maxRounds int) (Stats, error) {
-	return runParallel(ctx, t, f, maxRounds, nil, nil)
-}
-
-func runParallel(ctx context.Context, t *Topology, f Factory, maxRounds int, hook RoundHook, bw *Bandwidth) (Stats, error) {
-	ctx = orBackground(ctx)
-	inst, err := newInstance(t, f)
-	if err != nil {
-		return Stats{}, err
-	}
-	n := t.G.N()
-	// Worker sizing is grain-based: a shard must carry enough vertices for
-	// its goroutine spawn plus barrier share (on the order of a
-	// microsecond) to pay for itself, so small topologies run on few (or
-	// single) goroutines. The fused data plane needs only ONE barrier per
-	// round: a worker materializes inboxes from the previous round's outbox
-	// slab (frozen during the round), steps its own vertices, and writes
-	// only its own vertices' in/out regions.
-	workers := shardWorkers(n, stepGrain)
-	var stats Stats
-	halted := make([]int, workers)     // per-shard newly halted counts
-	sent := make([]sendStats, workers) // per-shard traffic
-	// Per-shard newly-halted lists, each preallocated to its shard size so
-	// round-loop appends never allocate; drained into inst.newly after the
-	// barrier to share the sequential engines' retire machinery.
-	shardNewly := make([][]int32, workers)
-	chunk := (n + workers - 1) / workers
-	for w := range shardNewly {
-		shardNewly[w] = make([]int32, 0, chunk)
-	}
-	for round := 0; ; round++ {
-		if inst.remaining == 0 {
-			break
-		}
-		if ctx.Err() != nil {
-			return stats, abortErr(ctx, round, inst.remaining)
-		}
-		if round >= maxRounds {
-			return stats, fmt.Errorf("%w after %d rounds (%d vertices still running)", ErrRoundLimit, round, inst.remaining)
-		}
-		runShards(n, workers, func(w, lo, hi int) {
-			var h int
-			var s sendStats
-			buf := shardNewly[w][:0]
-			for v := lo; v < hi; v++ {
-				st, vHalted := inst.stepVertex(v, round)
-				s.add(st)
-				if vHalted {
-					h++
-					buf = append(buf, int32(v))
-				}
-			}
-			halted[w], sent[w], shardNewly[w] = h, s, buf
-		})
-		prevBits := stats.Bits
-		var roundMax int64
-		for w := 0; w < workers; w++ {
-			inst.remaining -= halted[w]
-			stats.Messages += sent[w].msgs
-			stats.Bits += sent[w].bits
-			if sent[w].maxBits > roundMax {
-				roundMax = sent[w].maxBits
-			}
-			inst.newly = append(inst.newly, shardNewly[w]...)
-		}
-		if roundMax > stats.MaxMessageBits {
-			stats.MaxMessageBits = roundMax
-		}
-		if bw != nil {
-			stats.CongestViolations += bw.roundDone(stats.Bits-prevBits, roundMax)
-		}
-		inst.retireRound(round)
-		stats.Rounds++
-		if hook != nil {
-			hook(RoundEvent{Round: round, Running: inst.remaining, N: n, Stats: stats,
-				RoundBits: stats.Bits - prevBits, RoundMaxBits: roundMax})
-		}
-	}
-	return stats, nil
-}
-
 // stepGrain is the parallel engine's shard grain, tuned on the flat data
 // plane: one worker per at least this many vertices.
 const stepGrain = 256
 
 // shardWorkers sizes a shard pass: at most one worker per grain units of
-// work, capped at NumCPU, at least one.
+// work, capped at NumCPU, at least one. A shard must carry enough vertices
+// for its goroutine spawn plus barrier share (on the order of a
+// microsecond) to pay for itself, so small topologies run on one shard.
 func shardWorkers(work, grain int) int {
 	w := runtime.NumCPU()
 	if byGrain := work / grain; w > byGrain {
@@ -761,62 +543,68 @@ func shardWorkers(work, grain int) int {
 	return w
 }
 
-// runShards splits [0,n) into contiguous shards and runs fn on each from
-// its own goroutine, waiting for all to finish.
-func runShards(n, workers int, fn func(w, lo, hi int)) {
-	if workers == 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}
-
 // Engine selects an execution engine; the zero value is the sequential one.
 type Engine int
 
 const (
-	// Sequential is the deterministic single-threaded engine.
+	// Sequential steps vertices in index order on the calling goroutine.
 	Sequential Engine = iota
-	// Parallel is the goroutine-sharded engine.
+	// Parallel steps contiguous vertex shards on their own goroutines.
 	Parallel
-	// ReverseSequential steps vertices in reverse order (scheduling-
-	// independence validation; see RunReverseSequential).
+	// ReverseSequential steps vertices in reverse index order. Synchronous
+	// message passing makes the in-round order semantically irrelevant;
+	// this engine exists to *prove* that — any program whose results
+	// depend on intra-round scheduling (e.g. by leaking state through
+	// shared memory mid-round) diverges from Sequential under test.
 	ReverseSequential
 )
 
-// Run dispatches to the selected engine.
+// Run executes the algorithm to global termination on the selected engine.
 func (e Engine) Run(ctx context.Context, t *Topology, f Factory, maxRounds int) (Stats, error) {
 	return e.run(ctx, t, f, maxRounds, nil, nil)
 }
 
-// run is the single engine-dispatch point, shared by Engine.Run and
-// Instrumented wrappers.
+// run is the round loop of every engine, shared by Engine.Run and
+// Instrumented wrappers: the engine only chooses the shard count and the
+// visit order.
 func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, hook RoundHook, bw *Bandwidth) (Stats, error) {
-	switch e {
-	case Parallel:
-		return runParallel(ctx, t, f, maxRounds, hook, bw)
-	case ReverseSequential:
-		return runReverseSequential(ctx, t, f, maxRounds, hook, bw)
-	default:
-		return runSequential(ctx, t, f, maxRounds, hook, bw)
+	n := t.G.N()
+	shards := 1
+	if e == Parallel {
+		shards = shardWorkers(n, stepGrain)
 	}
+	inst, err := newInstance(t, f, shards, e == ReverseSequential)
+	if err != nil {
+		return Stats{}, err
+	}
+	var stats Stats
+	for round := 0; inst.remaining > 0; round++ {
+		if ctx.Err() != nil {
+			return stats, abortErr(ctx, round, inst.remaining)
+		}
+		if round >= maxRounds {
+			return stats, fmt.Errorf("%w after %d rounds (%d vertices still running)", ErrRoundLimit, round, inst.remaining)
+		}
+		inst.stepRound(round)
+		var sent sendStats
+		for i := range inst.shards {
+			inst.remaining -= len(inst.shards[i].newly)
+			sent.add(inst.shards[i].sent)
+		}
+		stats.Messages += sent.msgs
+		stats.Bits += sent.bits
+		stats.MaxMessageBits = max(stats.MaxMessageBits, sent.maxBits)
+		if bw != nil {
+			stats.CongestViolations += bw.roundDone(sent.bits, sent.maxBits)
+		}
+		inst.retireRound(round)
+		stats.Rounds++
+		if hook != nil {
+			hook(RoundEvent{Round: round, Running: inst.remaining, N: n, Stats: stats,
+				RoundBits: sent.bits, RoundMaxBits: sent.maxBits})
+		}
+	}
+	return stats, nil
 }
 
 // DefaultMaxRounds returns a generous round budget for a topology: all

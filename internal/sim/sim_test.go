@@ -22,19 +22,25 @@ func rg(seed int64, n int, p float64) *graph.Graph {
 	return b.MustBuild()
 }
 
+// machineFunc adapts a step function to the Machine interface, for the
+// small inline programs of these tests.
+type machineFunc func(round int, in, out []Word) bool
+
+func (f machineFunc) Step(round int, in, out []Word) bool { return f(round, in, out) }
+
 // neighborSumProgram: every vertex broadcasts its ID in round 0, sums the
 // received IDs in round 1, stores the result, and halts.
 func neighborSumProgram(results []int64) Factory {
 	return func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
-		return FuncMachine(func(round int, in []Message, out []Message) bool {
+		return machineFunc(func(round int, in, out []Word) bool {
 			switch round {
 			case 0:
-				SendAll(out, info.ID)
+				SendAllWords(out, info.ID)
 				return info.Degree == 0 // isolated vertices are done immediately
 			default:
 				var sum int64
-				for _, m := range in {
-					sum += m.(int64)
+				for _, w := range in {
+					sum += w
 				}
 				results[info.V] = sum
 				return true
@@ -47,7 +53,7 @@ func TestNeighborSum(t *testing.T) {
 	g := rg(1, 40, 0.2)
 	results := make([]int64, g.N())
 	topo := NewTopology(g)
-	stats, err := RunSequential(context.Background(), topo, neighborSumProgram(results), 10)
+	stats, err := Sequential.Run(context.Background(), topo, neighborSumProgram(results), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,22 +83,22 @@ func bfsProgram(dist []int) Factory {
 		if reached {
 			dist[info.V] = 0
 		}
-		return FuncMachine(func(round int, in []Message, out []Message) bool {
+		return machineFunc(func(round int, in, out []Word) bool {
 			if reached && !relayed {
-				SendAll(out, int64(1))
+				SendAllWords(out, 1)
 				relayed = true
 				return true
 			}
 			if !reached {
-				for _, m := range in {
-					if m != nil {
+				for _, w := range in {
+					if w != NoWord {
 						reached = true
 						dist[info.V] = round
 						break
 					}
 				}
 				if reached {
-					SendAll(out, int64(1))
+					SendAllWords(out, 1)
 					relayed = true
 					return true
 				}
@@ -129,7 +135,7 @@ func TestBFSDistances(t *testing.T) {
 	topo := NewTopology(g)
 	// Unreachable vertices never halt; bound rounds and expect the error if
 	// the graph is disconnected.
-	_, err := RunSequential(context.Background(), topo, bfsProgram(dist), g.N()+2)
+	_, err := Sequential.Run(context.Background(), topo, bfsProgram(dist), g.N()+2)
 	disconnected := false
 	for _, d := range want {
 		if d == -1 {
@@ -154,11 +160,11 @@ func TestEnginesProduceIdenticalExecutions(t *testing.T) {
 	g := rg(3, 200, 0.05)
 	r1 := make([]int64, g.N())
 	r2 := make([]int64, g.N())
-	s1, err := RunSequential(context.Background(), NewTopology(g), neighborSumProgram(r1), 10)
+	s1, err := Sequential.Run(context.Background(), NewTopology(g), neighborSumProgram(r1), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := RunParallel(context.Background(), NewTopology(g), neighborSumProgram(r2), 10)
+	s2, err := Parallel.Run(context.Background(), NewTopology(g), neighborSumProgram(r2), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +191,11 @@ func TestEngineDispatch(t *testing.T) {
 func TestRoundLimitError(t *testing.T) {
 	g := graph.Path(3)
 	forever := func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
-		return FuncMachine(func(round int, in []Message, out []Message) bool {
+		return machineFunc(func(round int, in, out []Word) bool {
 			return false
 		})
 	}
-	_, err := RunSequential(context.Background(), NewTopology(g), forever, 5)
+	_, err := Sequential.Run(context.Background(), NewTopology(g), forever, 5)
 	if !errors.Is(err, ErrRoundLimit) {
 		t.Fatalf("want ErrRoundLimit, got %v", err)
 	}
@@ -235,9 +241,9 @@ func TestNodeInfoAndNeighborKnowledge(t *testing.T) {
 	got := make([]seen, g.N())
 	f := func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
 		got[info.V] = seen{info, append([]int64(nil), nbrIDs...), append([]int64(nil), nbrLabels...)}
-		return FuncMachine(func(round int, in []Message, out []Message) bool { return true })
+		return machineFunc(func(round int, in, out []Word) bool { return true })
 	}
-	if _, err := RunSequential(context.Background(), topo, f, 5); err != nil {
+	if _, err := Sequential.Run(context.Background(), topo, f, 5); err != nil {
 		t.Fatal(err)
 	}
 	center := got[0]
@@ -282,24 +288,24 @@ func TestHaltedVertexStopsSending(t *testing.T) {
 	var sawRound1, sawRound2 bool
 	f := func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
 		if info.ID == 0 {
-			return FuncMachine(func(round int, in []Message, out []Message) bool {
-				SendAll(out, int64(42))
+			return machineFunc(func(round int, in, out []Word) bool {
+				SendAllWords(out, 42)
 				return true
 			})
 		}
-		return FuncMachine(func(round int, in []Message, out []Message) bool {
+		return machineFunc(func(round int, in, out []Word) bool {
 			switch round {
 			case 1:
-				sawRound1 = in[0] != nil
+				sawRound1 = in[0] != NoWord
 				return false
 			case 2:
-				sawRound2 = in[0] != nil
+				sawRound2 = in[0] != NoWord
 				return true
 			}
 			return false
 		})
 	}
-	if _, err := RunSequential(context.Background(), NewTopology(g), f, 10); err != nil {
+	if _, err := Sequential.Run(context.Background(), NewTopology(g), f, 10); err != nil {
 		t.Fatal(err)
 	}
 	if !sawRound1 {
@@ -307,14 +313,6 @@ func TestHaltedVertexStopsSending(t *testing.T) {
 	}
 	if sawRound2 {
 		t.Fatal("halted vertex message redelivered")
-	}
-}
-
-func TestInt64sHelper(t *testing.T) {
-	in := []Message{int64(3), nil, int64(9)}
-	got := Int64s(in, -1)
-	if got[0] != 3 || got[1] != -1 || got[2] != 9 {
-		t.Fatalf("Int64s wrong: %v", got)
 	}
 }
 
@@ -329,7 +327,7 @@ func TestDefaultMaxRounds(t *testing.T) {
 func TestContextAbortsRun(t *testing.T) {
 	g := rg(7, 40, 0.2)
 	forever := func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
-		return FuncMachine(func(round int, in, out []Message) bool { return false })
+		return machineFunc(func(round int, in, out []Word) bool { return false })
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

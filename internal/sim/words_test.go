@@ -1,12 +1,11 @@
 package sim_test
 
-// Equivalence matrix for the packed word plane (sim/words.go): word
-// programs must be observationally identical to their any-payload
-// counterparts — same per-vertex results, same Stats (messages, bits,
-// max bits), on every graph and engine of the plane grid, and also when
-// forced through the pre-CSR reference plane (where WrapWord's bridge
-// carries the words over the []Message contract). The allocation tests
-// pin the packed plane's steady state at zero heap allocations per round.
+// Word-level checks of the message plane (sim/words.go): programs whose
+// payloads are full 64-bit words — wide identifiers, WordSizer-accounted
+// sizes — must be observationally identical on every engine and on the
+// pre-CSR reference plane: same per-vertex results, same Stats (messages,
+// bits, max bits). The allocation tests pin the plane's steady state at
+// zero heap allocations per round for arbitrary word values.
 
 import (
 	"context"
@@ -17,92 +16,24 @@ import (
 )
 
 // refExec adapts the reference engine kept in plane_test.go to sim.Exec,
-// so whole algorithm pipelines can be replayed on the unoptimized
-// any-payload plane (see the algorithm equivalence tests in the algorithm
-// packages and plane_test.go).
+// so whole algorithm pipelines can be replayed on the unoptimized plane
+// (see the algorithm equivalence tests in the algorithm packages and
+// plane_test.go).
 type refExec struct{}
 
 func (refExec) Run(ctx context.Context, t *sim.Topology, f sim.Factory, maxRounds int) (sim.Stats, error) {
 	return runReference(t, f, maxRounds)
 }
 
-// --- word twins of the plane programs --------------------------------------
-
-// wordSumProgram is sumProgram on the packed plane.
-func wordSumProgram(results []int64) sim.Factory {
-	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		return sim.WrapWord(sim.WordFunc(func(round int, in, out []sim.Word) bool {
-			if round == 0 {
-				sim.SendAllWords(out, info.ID)
-				return info.Degree == 0
-			}
-			var sum int64
-			for _, w := range in {
-				sum += w
-			}
-			results[info.V] = sum
-			return true
-		}))
-	}
-}
-
-// wordFloodProgram is floodProgram on the packed plane.
-func wordFloodProgram(results []int64) sim.Factory {
-	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		reached := info.ID == 0
-		return sim.WrapWord(sim.WordFunc(func(round int, in, out []sim.Word) bool {
-			if reached {
-				sim.SendAllWords(out, 1)
-				results[info.V] = int64(round)
-				return true
-			}
-			for _, w := range in {
-				if w != sim.NoWord {
-					reached = true
-					break
-				}
-			}
-			return false
-		}))
-	}
-}
-
-// sizedPayloadBits is the common bit schedule of the sized program pair.
-func sizedPayloadBits(v int64) int64 { return v%13 + 14 }
-
-// sizedAnyProgram staggers halting, sends Sizer payloads on a rotating
-// subset of ports, and folds everything received into an accumulator.
-func sizedAnyProgram(results []int64) sim.Factory {
-	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		stop := int(info.ID%5) + 1
-		return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
-			acc := results[info.V]
-			for p, m := range in {
-				if m == nil {
-					acc = acc*31 + 7
-				} else {
-					acc = acc*31 + int64(m.(sizedMsg)) + int64(p)
-				}
-			}
-			results[info.V] = acc
-			for p := range out {
-				if (p+round+int(info.ID))%3 != 2 {
-					out[p] = sizedMsg(info.ID + int64(p))
-				}
-			}
-			return round >= stop-1
-		})
-	}
-}
-
-// wordSizedMachine is sizedAnyProgram as a word machine with a WordSizer
-// reporting the identical bit schedule.
+// wordSizedMachine staggers halting, sends payloads on a rotating subset
+// of ports, folds everything received into an accumulator, and reports a
+// payload-dependent bit size through WordSizer.
 type wordSizedMachine struct {
 	info    sim.NodeInfo
 	results []int64
 }
 
-func (m *wordSizedMachine) StepWord(round int, in, out []sim.Word) bool {
+func (m *wordSizedMachine) Step(round int, in, out []sim.Word) bool {
 	acc := m.results[m.info.V]
 	for p, w := range in {
 		if w == sim.NoWord {
@@ -120,20 +51,28 @@ func (m *wordSizedMachine) StepWord(round int, in, out []sim.Word) bool {
 	return round >= int(m.info.ID%5)
 }
 
-func (m *wordSizedMachine) WordBits(w sim.Word) int64 { return sizedPayloadBits(w) }
+func (m *wordSizedMachine) WordBits(w sim.Word) int64 { return w%13 + 14 }
 
 func wordSizedProgram(results []int64) sim.Factory {
 	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		return sim.WrapWord(&wordSizedMachine{info: info, results: results})
+		return &wordSizedMachine{info: info, results: results}
 	}
 }
 
-// TestWordPlaneEquivalenceMatrix runs each word program and its
-// any-payload twin over the plane grid: per-vertex results and Stats must
-// be identical between (a) the twin on the reference plane, (b) the word
-// program on every engine (packed plane), and (c) the word program forced
-// through the reference plane, where WrapWord's bridge carries it over
-// the []Message contract.
+// wideIDs relabels the n vertices with distinct identifiers that need all
+// of a word's width — a reversed order scaled past 2^40 — while keeping
+// identifier 0 (the flood source) in use.
+func wideIDs(n int) []int64 {
+	ids := make([]int64, n)
+	for v := range ids {
+		ids[v] = int64(n-1-v) * (1<<40 + 3)
+	}
+	return ids
+}
+
+// TestWordPlaneEquivalenceMatrix runs each word program over the plane
+// grid with wide identifiers: per-vertex results and Stats must be
+// identical between every engine and the reference plane.
 func TestWordPlaneEquivalenceMatrix(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -152,12 +91,11 @@ func TestWordPlaneEquivalenceMatrix(t *testing.T) {
 	}
 	programs := []struct {
 		name string
-		any  func([]int64) sim.Factory
-		word func([]int64) sim.Factory
+		prog func([]int64) sim.Factory
 	}{
-		{"sum", sumProgram, wordSumProgram},
-		{"flood", floodProgram, wordFloodProgram},
-		{"sized", sizedAnyProgram, wordSizedProgram},
+		{"sum", sumProgram},
+		{"flood", floodProgram},
+		{"sized", wordSizedProgram},
 	}
 	engines := []struct {
 		name string
@@ -171,91 +109,38 @@ func TestWordPlaneEquivalenceMatrix(t *testing.T) {
 	for _, gc := range graphs {
 		for _, pc := range programs {
 			t.Run(gc.name+"/"+pc.name, func(t *testing.T) {
-				topo := sim.NewTopology(gc.g)
+				topo := &sim.Topology{G: gc.g, IDs: wideIDs(gc.g.N())}
 				wantRes := make([]int64, gc.g.N())
-				wantStats, wantErr := runReference(topo, pc.any(wantRes), maxRounds)
-				check := func(label string, gotRes []int64, gotStats sim.Stats, gotErr error) {
-					t.Helper()
+				wantStats, wantErr := runReference(topo, pc.prog(wantRes), maxRounds)
+				for _, ec := range engines {
+					gotRes := make([]int64, gc.g.N())
+					gotStats, gotErr := ec.eng.Run(context.Background(), topo, pc.prog(gotRes), maxRounds)
 					if (wantErr == nil) != (gotErr == nil) {
-						t.Fatalf("%s: error mismatch: reference %v, got %v", label, wantErr, gotErr)
+						t.Fatalf("%s: error mismatch: reference %v, got %v", ec.name, wantErr, gotErr)
 					}
 					if gotStats != wantStats {
-						t.Fatalf("%s: stats %+v, reference %+v", label, gotStats, wantStats)
+						t.Fatalf("%s: stats %+v, reference %+v", ec.name, gotStats, wantStats)
 					}
 					for v := range wantRes {
 						if gotRes[v] != wantRes[v] {
-							t.Fatalf("%s: vertex %d result %d, reference %d", label, v, gotRes[v], wantRes[v])
+							t.Fatalf("%s: vertex %d result %d, reference %d", ec.name, v, gotRes[v], wantRes[v])
 						}
 					}
 				}
-				for _, ec := range engines {
-					gotRes := make([]int64, gc.g.N())
-					gotStats, gotErr := ec.eng.Run(context.Background(), topo, pc.word(gotRes), maxRounds)
-					check("word/"+ec.name, gotRes, gotStats, gotErr)
-				}
-				// The word program through the reference plane (bridge path).
-				gotRes := make([]int64, gc.g.N())
-				gotStats, gotErr := runReference(topo, pc.word(gotRes), maxRounds)
-				check("word/reference-bridge", gotRes, gotStats, gotErr)
 			})
-		}
-	}
-}
-
-// TestMixedProgramFallsBackToAnyPlane pins the per-program representation
-// choice: one non-word machine demotes the whole run to the any plane,
-// where WrapWord's bridge keeps the word machines correct.
-func TestMixedProgramFallsBackToAnyPlane(t *testing.T) {
-	g := graph.Path(10)
-	results := make([]int64, g.N())
-	mixed := func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		if info.V == 0 {
-			// A lone any-plane machine participating in the sum protocol.
-			return sim.FuncMachine(func(round int, in, out []sim.Message) bool {
-				if round == 0 {
-					sim.SendAll(out, info.ID)
-					return false
-				}
-				var sum int64
-				for _, m := range in {
-					sum += m.(int64)
-				}
-				results[info.V] = sum
-				return true
-			})
-		}
-		return wordSumProgram(results)(info, nbrIDs, nbrLabels)
-	}
-	wantRes := make([]int64, g.N())
-	wantStats, err := runReference(sim.NewTopology(g), sumProgram(wantRes), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotStats, err := sim.RunSequential(context.Background(), sim.NewTopology(g), mixed, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotStats != wantStats {
-		t.Fatalf("mixed stats %+v, reference %+v", gotStats, wantStats)
-	}
-	for v := range wantRes {
-		if results[v] != wantRes[v] {
-			t.Fatalf("vertex %d: mixed %d, reference %d", v, results[v], wantRes[v])
 		}
 	}
 }
 
 // --- allocation regression -------------------------------------------------
 
-// wordExchangeProgram is the packed counterpart of exchangeProgram for
-// steady-state allocation pinning. Unlike the any plane — which relies on
-// the runtime's small-integer interface cache — the packed plane is
-// alloc-free for arbitrary word values; the payloads here exceed the
-// 0..255 cache range to prove it.
+// wordExchangeProgram is exchangeProgram with payloads well beyond the
+// runtime's small-integer range, proving the plane is alloc-free for
+// arbitrary word values.
 func wordExchangeProgram(rounds int) sim.Factory {
 	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
 		var acc int64
-		return sim.WrapWord(sim.WordFunc(func(round int, in, out []sim.Word) bool {
+		return stepFunc(func(round int, in, out []sim.Word) bool {
 			for _, w := range in {
 				if w != sim.NoWord {
 					acc += w
@@ -263,32 +148,31 @@ func wordExchangeProgram(rounds int) sim.Factory {
 			}
 			sim.SendAllWords(out, int64(round)+1_000_000)
 			return round >= rounds-1
-		}))
+		})
 	}
 }
 
-// TestWordPlaneSteadyStateAllocFree pins the packed plane's contract on
-// both sequential engines: after instance setup, zero heap allocations
-// per round, payload values notwithstanding.
+// TestWordPlaneSteadyStateAllocFree pins the plane's contract on both
+// one-shard engines: after instance setup, zero heap allocations per
+// round, payload values notwithstanding.
 func TestWordPlaneSteadyStateAllocFree(t *testing.T) {
 	g := planeRandomGraph(7, 400, 0.04)
 	topo := sim.NewTopology(g)
 	g.CSR() // build the cached view outside the measurement
 	for _, ec := range []struct {
 		name string
-		run  func(ctx context.Context, t *sim.Topology, f sim.Factory, maxRounds int) (sim.Stats, error)
+		eng  sim.Engine
 	}{
-		{"sequential", sim.RunSequential},
-		{"reverse", sim.RunReverseSequential},
+		{"sequential", sim.Sequential},
+		{"reverse", sim.ReverseSequential},
 	} {
 		t.Run(ec.name, func(t *testing.T) {
 			run := func(rounds int) {
-				if _, err := ec.run(context.Background(), topo, wordExchangeProgram(rounds), rounds+2); err != nil {
+				if _, err := ec.eng.Run(context.Background(), topo, wordExchangeProgram(rounds), rounds+2); err != nil {
 					t.Fatal(err)
 				}
 			}
-			short := testing.AllocsPerRun(5, func() { run(8) })
-			long := testing.AllocsPerRun(5, func() { run(72) })
+			short, long := shortLongAllocs(run)
 			if long != short {
 				t.Fatalf("word plane allocates per round: %.1f allocs over 64 extra rounds (%.1f vs %.1f)",
 					long-short, long, short)
