@@ -153,7 +153,7 @@ func TestInflightBytesReleaseOnTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WaitTimeout(st.ID, time.Minute); err != nil {
+	if _, err := waitFor(s, st.ID, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	// Frozen path: cancel a queued job.
@@ -291,8 +291,8 @@ func TestClientWaitHonorsContext(t *testing.T) {
 		t.Fatalf("Wait ignored ctx for %v", time.Since(start))
 	}
 	// The deprecated wrapper keeps the old wall-clock contract.
-	if _, err := c.WaitTimeout(st.ID, 5*time.Millisecond, 30*time.Millisecond); err == nil {
-		t.Fatal("WaitTimeout on a never-running job returned nil")
+	if _, err := c.Wait(context.Background(), st.ID, 5*time.Millisecond, 30*time.Millisecond); err == nil {
+		t.Fatal("Wait on a never-running job returned nil")
 	}
 }
 
@@ -379,7 +379,7 @@ func TestCoverVertexRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err = s.WaitTimeout(st.ID, 2*time.Minute); err != nil || st.State != StateDone {
+	if st, err = waitFor(s, st.ID, 2*time.Minute); err != nil || st.State != StateDone {
 		t.Fatalf("valid cover job: %v / %+v", err, st)
 	}
 

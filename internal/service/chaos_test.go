@@ -113,7 +113,7 @@ func TestChaos(t *testing.T) {
 	// Every accepted job reaches a typed terminal state, exactly once each.
 	states := map[string]State{}
 	for _, id := range accepted {
-		fin, err := s.WaitTimeout(id, 2*time.Minute)
+		fin, err := waitFor(s, id, 2*time.Minute)
 		if err != nil {
 			fail("job %s lost: %v", id, err)
 		}
@@ -148,7 +148,7 @@ func TestChaos(t *testing.T) {
 	seeded := false
 	for i := 0; i < 20 && !seeded; i++ {
 		if st, err := s.Submit(cacheReq()); err == nil {
-			if fin, werr := s.WaitTimeout(st.ID, time.Minute); werr == nil && fin.State == StateDone {
+			if fin, werr := waitFor(s, st.ID, time.Minute); werr == nil && fin.State == StateDone {
 				states[st.ID] = fin.State
 				seeded = true
 			}
@@ -199,7 +199,7 @@ func TestChaos(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		st, err := s.Submit(gnpRequest(distcolor.AlgoEdgeGreedy, 24, 0.2, int64(40000+i)))
 		if err == nil {
-			fin, werr := s.WaitTimeout(st.ID, time.Minute)
+			fin, werr := waitFor(s, st.ID, time.Minute)
 			if werr != nil || !fin.State.Terminal() {
 				fail("post-heal job %s: %+v, %v", st.ID, fin, werr)
 			}
@@ -300,7 +300,7 @@ func TestChaos(t *testing.T) {
 	if n := jobIDNum(st.ID); n <= maxID {
 		fail("fresh submission reused job ID %s (journal max j%d)", st.ID, maxID)
 	}
-	fin, err := s2.WaitTimeout(st.ID, 2*time.Minute)
+	fin, err := waitFor(s2, st.ID, 2*time.Minute)
 	if err != nil || fin.State != StateDone {
 		fail("final clean job: %+v, %v", fin, err)
 	}

@@ -419,14 +419,6 @@ func (c *Client) Wait(ctx context.Context, id string, poll, timeout time.Duratio
 	}
 }
 
-// WaitTimeout is the pre-context signature of Wait.
-//
-// Deprecated: use Wait with a context, which can be canceled between polls.
-func (c *Client) WaitTimeout(id string, poll, timeout time.Duration) (JobStatus, error) {
-	//distcolor:ignore ctxfirst deprecated pre-context shim; the timeout below bounds the wait
-	return c.Wait(context.Background(), id, poll, timeout)
-}
-
 // Trace streams the job's round trace, invoking fn for every event until
 // the stream's end line; it returns the job's final state. Lifecycle span
 // lines are skipped — use TraceSpans to receive them. Canceling ctx tears

@@ -102,7 +102,7 @@ func TestCancelRunningJobSurfacesCanceled(t *testing.T) {
 	if _, err := s.Cancel(st.ID); err != nil {
 		t.Fatal(err)
 	}
-	final, err := s.WaitTimeout(st.ID, time.Minute)
+	final, err := waitFor(s, st.ID, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,9 +35,16 @@ func gnpRequest(algorithm string, n int, p float64, seed int64) *distcolor.Reque
 	return &distcolor.Request{Algorithm: algorithm, Graph: distcolor.Spec(gen.GNP(n, p, seed))}
 }
 
+// waitFor is Server.Wait bounded by a timeout.
+func waitFor(s *Server, id string, timeout time.Duration) (JobStatus, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return s.Wait(ctx, id)
+}
+
 func waitDone(t *testing.T, s *Server, id string) JobStatus {
 	t.Helper()
-	st, err := s.WaitTimeout(id, 2*time.Minute)
+	st, err := waitFor(s, id, 2*time.Minute)
 	if err != nil {
 		t.Fatalf("wait %s: %v", id, err)
 	}
@@ -222,7 +229,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	if cst.State != StateCanceled && cst.State != StateRunning && cst.State != StateDone {
 		t.Fatalf("cancel left state %s", cst.State)
 	}
-	final, err := s.WaitTimeout(st.ID, time.Minute)
+	final, err := waitFor(s, st.ID, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +389,7 @@ func TestConcurrentHammer(t *testing.T) {
 					errs <- err
 					continue
 				}
-				fin, err := s.WaitTimeout(st.ID, 2*time.Minute)
+				fin, err := waitFor(s, st.ID, 2*time.Minute)
 				if err != nil {
 					errs <- err
 					continue

@@ -402,7 +402,7 @@ func TestCrashRecoveryKill9(t *testing.T) {
 	reqs := crashRequests()
 	for i, req := range reqs {
 		id := fmt.Sprintf("j%d", i+1) // the child submitted serially: ID order = request order
-		st, err := s.WaitTimeout(id, 2*time.Minute)
+		st, err := waitFor(s, id, 2*time.Minute)
 		if err != nil {
 			t.Fatalf("job %s lost in recovery: %v", id, err)
 		}
@@ -463,7 +463,7 @@ func TestRestartRaceHammer(t *testing.T) {
 							t.Errorf("round %d cancel %s: %v", round, st.ID, err)
 						}
 					}
-					if _, err := s.WaitTimeout(st.ID, time.Minute); err != nil {
+					if _, err := waitFor(s, st.ID, time.Minute); err != nil {
 						t.Errorf("round %d wait %s: %v", round, st.ID, err)
 					}
 				}
