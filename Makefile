@@ -20,7 +20,7 @@ BENCH_COUNT ?= 1
 # replayed exactly by re-running with the seed from its report.
 CHAOS_SEED ?= 1
 
-.PHONY: build test vet lint lint-codec fmt-check staticcheck race bench bench-algos bench-baseline bench-check bench-codec tables fuzz profile chaos ci
+.PHONY: build test vet lint lint-codec fmt-check staticcheck race perfbench bench bench-algos bench-baseline bench-check bench-codec tables fuzz profile chaos ci
 
 # Where `make profile` writes cpu.pprof/heap.pprof; CI uploads it as an
 # artifact on pull requests.
@@ -98,6 +98,12 @@ staticcheck:
 race:
 	$(GO) test -race ./internal/service/ ./internal/sim/ ./internal/graph/ ./internal/svcbench/
 
+# perfbench/ is its own Go module (its go.mod replaces repro with ../), so
+# `go build ./...` never compiles it; vet and test it here so a simulator API
+# break fails CI rather than the benchmark pipeline. Works offline.
+perfbench:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
 # One pass over every benchmark in the repository (root tables suite,
 # internal/sim data-plane benchmarks, ...). -benchtime 1x keeps it a smoke
 # run; see README for benchstat-grade measurement instructions.
@@ -158,4 +164,4 @@ chaos:
 bench-codec:
 	$(GO) test . -run '^$$' -bench '^BenchmarkWireCodec' -benchmem -count $(BENCH_COUNT)
 
-ci: build vet lint fmt-check staticcheck test race
+ci: build vet lint fmt-check staticcheck test race perfbench
