@@ -378,18 +378,26 @@ func TestMergeQuick(t *testing.T) {
 }
 
 func TestEnginesAgreeOnThm52(t *testing.T) {
-	g, a := bounded(t, 200, 2, 80, 23)
-	r1, err := ColorHPartition(context.Background(), g, a, Options{Exec: sim.Sequential})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := ColorHPartition(context.Background(), g, a, Options{Exec: sim.Parallel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := range r1.Colors {
-		if r1.Colors[e] != r2.Colors[e] {
-			t.Fatal("engines disagree")
+	// The 2000-vertex graph is past the parallel engine's shard grain, so
+	// on a multi-core machine its merges write and read the offer table
+	// from several goroutines.
+	for _, n := range []int{200, 2000} {
+		g, a := bounded(t, n, 2, 80, 23)
+		r1, err := ColorHPartition(context.Background(), g, a, Options{Exec: sim.Sequential})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := ColorHPartition(context.Background(), g, a, Options{Exec: sim.Parallel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r1.Stats != r2.Stats {
+			t.Fatalf("n=%d: engines disagree on stats: %+v vs %+v", n, r1.Stats, r2.Stats)
+		}
+		for e := range r1.Colors {
+			if r1.Colors[e] != r2.Colors[e] {
+				t.Fatalf("n=%d: engines disagree", n)
+			}
 		}
 	}
 }

@@ -290,7 +290,7 @@ func TestClientWaitHonorsContext(t *testing.T) {
 	if time.Since(start) > 5*time.Second {
 		t.Fatalf("Wait ignored ctx for %v", time.Since(start))
 	}
-	// The deprecated wrapper keeps the old wall-clock contract.
+	// A positive timeout bounds the wait even under a background context.
 	if _, err := c.Wait(context.Background(), st.ID, 5*time.Millisecond, 30*time.Millisecond); err == nil {
 		t.Fatal("Wait on a never-running job returned nil")
 	}

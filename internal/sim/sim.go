@@ -348,6 +348,8 @@ func newInstance(t *Topology, f Factory, shards int, reverse bool) (*instance, e
 	if shards > 1 {
 		inst.shards = make([]shard, 0, shards)
 	}
+	// Contiguous ranges of chunk vertices; an empty topology still gets
+	// its one (empty) shard.
 	chunk := (n + shards - 1) / shards
 	for lo := 0; len(inst.shards) == 0 || lo < n; lo += chunk {
 		hi := min(lo+chunk, n)
@@ -450,18 +452,20 @@ func (inst *instance) stepVertex(v, round int) (sendStats, bool) {
 // It writes only its own vertices' inbox and outbox regions and its own
 // shard, so shards of one round may run concurrently.
 func (inst *instance) stepShard(s *shard, round int) {
-	s.sent = sendStats{}
+	var sent sendStats
+	newly := s.newly
 	v, end, dir := s.lo, s.hi, 1
 	if inst.reverse {
 		v, end, dir = s.hi-1, s.lo-1, -1
 	}
 	for ; v != end; v += dir {
 		st, halted := inst.stepVertex(v, round)
-		s.sent.add(st)
+		sent.add(st)
 		if halted {
-			s.newly = append(s.newly, int32(v))
+			newly = append(newly, int32(v))
 		}
 	}
+	s.sent, s.newly = sent, newly
 }
 
 // stepRound steps every shard once: inline for one shard, else one
