@@ -29,7 +29,7 @@ var noallocManifest = map[string]string{
 	// columns (BENCH_simcore.json).
 	"internal/sim.(instance).stepVertex":  "sim round loop, vertex step",
 	"internal/sim.(instance).retireRound": "sim round loop, halt retirement",
-	"internal/sim.(instance).silence":     "sim round loop, halt retirement",
+	"internal/sim.(Inbox).Words":          "sim round loop, inbox delivery",
 	// Pinned by the linial_test.go AllocsPerRun step pin and the
 	// algo/linial bench-gate row.
 	"internal/linial.(machine).Step":      "linial reduction step",

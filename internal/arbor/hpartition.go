@@ -98,9 +98,9 @@ type peelMachine struct {
 	sink      *int
 }
 
-func (pm *peelMachine) Step(round int, in, out []sim.Word) bool {
+func (pm *peelMachine) Step(round int, in sim.Inbox, out []sim.Word) bool {
 	if round == 0 {
-		if len(in) == 0 {
+		if len(out) == 0 {
 			*pm.sink = 0
 			return true
 		}
@@ -108,7 +108,7 @@ func (pm *peelMachine) Step(round int, in, out []sim.Word) bool {
 		return false
 	}
 	active := 0
-	for _, w := range in {
+	for _, w := range in.Words() {
 		if w != sim.NoWord {
 			active++
 		}

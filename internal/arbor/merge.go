@@ -159,7 +159,7 @@ func markColor(set []uint64, c int64) {
 	set[c>>6] |= 1 << (uint(c) & 63)
 }
 
-func (mm *mergeMachine) Step(round int, in, out []sim.Word) bool {
+func (mm *mergeMachine) Step(round int, in sim.Inbox, out []sim.Word) bool {
 	run := mm.run
 	spec := run.spec
 	adj := run.g.Adj(mm.v)
@@ -169,8 +169,9 @@ func (mm *mergeMachine) Step(round int, in, out []sim.Word) bool {
 		return mm.role == roleIdle
 	case round == 1 && mm.role == roleA:
 		// Learn neighbor roles; label my uncolored crossing edges.
+		roles := in.Words()
 		for p, a := range adj {
-			if spec.EdgeColors[a.Edge] < 0 && in[p] == sim.Word(roleB) {
+			if spec.EdgeColors[a.Edge] < 0 && roles[p] == sim.Word(roleB) {
 				mm.crossPorts = append(mm.crossPorts, p)
 			}
 		}
@@ -186,11 +187,12 @@ func (mm *mergeMachine) Step(round int, in, out []sim.Word) bool {
 		i := (round - 1) / 2
 		if i >= 1 && i <= len(mm.crossPorts) {
 			p := mm.crossPorts[i-1]
-			if in[p] == sim.NoWord {
+			reply := in.Words()[p]
+			if reply == sim.NoWord {
 				run.errs[mm.v] = fmt.Errorf("arbor: merge: vertex %d missing reply for label %d", mm.v, i)
 				return true
 			}
-			spec.EdgeColors[adj[p].Edge] = in[p]
+			spec.EdgeColors[adj[p].Edge] = reply
 		}
 		if i >= len(mm.crossPorts) {
 			return true // all my labels are colored
@@ -209,7 +211,7 @@ func (mm *mergeMachine) Step(round int, in, out []sim.Word) bool {
 				}
 			}
 		}
-		for p, w := range in {
+		for p, w := range in.Words() {
 			if w == sim.NoWord || w&offerTag == 0 {
 				continue
 			}

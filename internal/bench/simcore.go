@@ -119,8 +119,8 @@ type exchangeMachine struct {
 	acc  int64
 }
 
-func (m *exchangeMachine) Step(round int, in, out []sim.Word) bool {
-	for _, w := range in {
+func (m *exchangeMachine) Step(round int, in sim.Inbox, out []sim.Word) bool {
+	for _, w := range in.Words() {
 		if w != sim.NoWord {
 			m.acc += w
 		}

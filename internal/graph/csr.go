@@ -12,8 +12,9 @@ import "sync"
 //
 // The view is built once per Graph and cached; all four slices are shared
 // across callers and must be treated as read-only. The simulator's message
-// plane (internal/sim) is laid out directly over these offsets: one flat
-// message slab indexed by arc, with Mate as the delivery permutation.
+// plane (internal/sim) delivers through this view: a receiver's port j
+// reads its sender To[j]'s broadcast word, or, for a sender whose ports
+// carried different words, the slot Mate[j] of a slab indexed by arc.
 type CSR struct {
 	Off  []int32 // len N()+1; arcs of v are [Off[v], Off[v+1])
 	To   []int32 // len 2·M(); neighbor endpoint of each arc

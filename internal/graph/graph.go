@@ -72,53 +72,85 @@ func (b *Builder) AddEdge(u, v int) {
 
 // Build validates the accumulated edges and returns the immutable Graph.
 func (b *Builder) Build() (*Graph, error) {
+	return b.build(nil)
+}
+
+// build is Build, and when perm is non-nil (len = number of added edges)
+// it also records perm[i] = final identifier of the i-th added edge.
+//
+// Edges get identifiers in sorted (U, V) order, which build reaches in
+// O(n+m) by a two-pass counting sort: first bucket the edges by V, then
+// stably by U, so each U-bucket lists its V in increasing order. The first
+// pass parks its output in the adjacency arena before the arena is filled,
+// so the sort needs no scratch beyond two offset arrays.
+func (b *Builder) build(perm []int32) (*Graph, error) {
+	n, m := b.n, len(b.edges)
 	for _, e := range b.edges {
-		if e.U < 0 || int(e.V) >= b.n {
-			return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", e.U, e.V, b.n)
+		if e.U < 0 || int(e.V) >= n {
+			return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", e.U, e.V, n)
 		}
 		if e.U == e.V {
 			return nil, fmt.Errorf("graph: self-loop at vertex %d", e.U)
 		}
 	}
-	edges := make([]Edge, len(b.edges))
-	copy(edges, b.edges)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
+	// byU[u] and byV[v] become the bucket starts of u and v.
+	byU, byV := make([]int32, n+1), make([]int32, n+1)
+	for _, e := range b.edges {
+		byU[e.U+1]++
+		byV[e.V+1]++
+	}
+	for v := 1; v <= n; v++ {
+		byU[v] += byU[v-1]
+		byV[v] += byV[v-1]
+	}
+	arena := make([]Arc, 2*m)
+	// Pass 1: bucket by V into the arena, keeping U and the insertion
+	// index. Afterwards byV[v] is the end of v's bucket.
+	for i, e := range b.edges {
+		arena[byV[e.V]] = Arc{To: e.U, Edge: int32(i)}
+		byV[e.V]++
+	}
+	// Pass 2: walk the V-buckets in increasing V and place each edge at
+	// the next slot of its U-bucket. Afterwards byU[u] is the end of u's
+	// bucket.
+	edges := make([]Edge, m)
+	start := int32(0)
+	for v := 0; v < n; v++ {
+		for _, a := range arena[start:byV[v]] {
+			at := byU[a.To]
+			byU[a.To]++
+			edges[at] = Edge{U: a.To, V: int32(v)}
+			if perm != nil {
+				perm[a.Edge] = at
+			}
 		}
-		return edges[i].V < edges[j].V
-	})
-	for i := 1; i < len(edges); i++ {
+		start = byV[v]
+	}
+	for i := 1; i < m; i++ {
 		if edges[i] == edges[i-1] {
 			return nil, fmt.Errorf("graph: duplicate edge {%d,%d}", edges[i].U, edges[i].V)
 		}
 	}
 	g := &Graph{
-		adj:   make([][]Arc, b.n),
+		adj:   make([][]Arc, n),
 		edges: edges,
 	}
-	// All adjacency lists are carved from one flat arena (two header
+	// All adjacency lists are carved from the one flat arena (two header
 	// allocations for the whole graph instead of one per vertex — the
 	// recursive decompositions build thousands of subgraphs, and line
-	// graphs have hundreds of thousands of vertices). Iterating the sorted
-	// edge list fills every vertex's range in increasing neighbor order:
-	// for vertex v, the arcs with To < v come from edges (u,v) in
-	// increasing u, followed by edges (v,w) in increasing w — so the
-	// sortedness HasEdge/EdgeID rely on is preserved.
-	deg := make([]int32, b.n+1)
-	for _, e := range edges {
-		deg[e.U+1]++
-		deg[e.V+1]++
-	}
-	for v := 1; v <= b.n; v++ {
-		if d := int(deg[v]); d > g.maxDeg {
-			g.maxDeg = d
-		}
-		deg[v] += deg[v-1] // deg becomes the offset array
-	}
-	arena := make([]Arc, 2*len(edges))
-	for v := 0; v < b.n; v++ {
-		g.adj[v] = arena[deg[v]:deg[v]:deg[v+1]]
+	// graphs have hundreds of thousands of vertices). Vertex v's range
+	// starts after the arcs of all lower vertices, i.e. at the bucket ends
+	// byU[v-1] + byV[v-1]. Iterating the sorted edge list fills every
+	// range in increasing neighbor order: for vertex v, the arcs with
+	// To < v come from edges (u,v) in increasing u, followed by edges
+	// (v,w) in increasing w — so the sortedness HasEdge/EdgeID rely on is
+	// preserved.
+	lo := int32(0)
+	for v := 0; v < n; v++ {
+		hi := byU[v] + byV[v]
+		g.adj[v] = arena[lo:lo:hi]
+		g.maxDeg = max(g.maxDeg, int(hi-lo))
+		lo = hi
 	}
 	for id, e := range edges {
 		g.adj[e.U] = append(g.adj[e.U], Arc{To: e.V, Edge: int32(id)})

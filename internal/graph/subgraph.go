@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Sub is a subgraph together with its embedding into a parent graph. It is
 // the unit of recursion in the paper's decompositions: CD-Coloring recurses
@@ -123,31 +120,14 @@ func SpanningFromEdges(g *Graph, edges []int) (*Sub, error) {
 
 // BuildWithEdgeOrder builds the graph and returns the permutation mapping
 // each edge's insertion index (order of AddEdge calls) to its final edge
-// identifier. Builder.Build assigns IDs in sorted-(U,V) order, so the
-// permutation is recovered by sorting insertion indices by the same key.
-// Exposed for packages (connector) that construct derived graphs and must
-// track which original edge each derived edge represents.
+// identifier (Builder.Build assigns IDs in sorted-(U,V) order). Exposed
+// for packages (connector) that construct derived graphs and must track
+// which original edge each derived edge represents.
 func BuildWithEdgeOrder(b *Builder) (*Graph, []int32, error) {
-	keys := make([]Edge, len(b.edges))
-	copy(keys, b.edges)
-	order := make([]int32, len(keys))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		a, c := keys[order[x]], keys[order[y]]
-		if a.U != c.U {
-			return a.U < c.U
-		}
-		return a.V < c.V
-	})
-	g, err := b.Build()
+	perm := make([]int32, len(b.edges))
+	g, err := b.build(perm)
 	if err != nil {
 		return nil, nil, err
-	}
-	perm := make([]int32, len(order))
-	for finalID, insPos := range order {
-		perm[insPos] = int32(finalID)
 	}
 	return g, perm, nil
 }

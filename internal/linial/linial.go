@@ -187,7 +187,7 @@ func newMachine(info sim.NodeInfo, schedule []Step, sink *int64) sim.Machine {
 // r-1 and broadcasts the result, halting after the last step.
 //
 //distcolor:noalloc
-func (mc *machine) Step(round int, in, out []sim.Word) bool {
+func (mc *machine) Step(round int, in sim.Inbox, out []sim.Word) bool {
 	if round == 0 {
 		if len(mc.schedule) == 0 {
 			*mc.sink = mc.color
@@ -197,7 +197,7 @@ func (mc *machine) Step(round int, in, out []sim.Word) bool {
 		return false
 	}
 	st := mc.schedule[round-1]
-	mc.color = mc.applyStep(in, st)
+	mc.color = mc.applyStep(in.Words(), st)
 	if round == len(mc.schedule) {
 		*mc.sink = mc.color
 		return true

@@ -63,12 +63,12 @@ type trimMachine struct {
 }
 
 // Step implements sim.Machine: colors are single words.
-func (tm *trimMachine) Step(round int, in, out []sim.Word) bool {
+func (tm *trimMachine) Step(round int, in sim.Inbox, out []sim.Word) bool {
 	// Round r processes class m-r (r ≥ 1); round 0 only broadcasts.
 	if round > 0 {
 		class := tm.m - int64(round)
 		if tm.color == class {
-			tm.color = smallestFree(in, tm.target, &tm.scratch, int32(round))
+			tm.color = smallestFree(in.Words(), tm.target, &tm.scratch, int32(round))
 		}
 		if class == tm.target {
 			*tm.sink = tm.color
@@ -178,7 +178,7 @@ type kwMachine struct {
 }
 
 // Step implements sim.Machine.
-func (km *kwMachine) Step(round int, in, out []sim.Word) bool {
+func (km *kwMachine) Step(round int, in sim.Inbox, out []sim.Word) bool {
 	if round > 0 {
 		r := km.schedule[round-1]
 		if km.color%r.b == r.s {
@@ -186,7 +186,7 @@ func (km *kwMachine) Step(round int, in, out []sim.Word) bool {
 			// colors (which are fresh as of last round; concurrent
 			// recolorers share my color class and are non-adjacent).
 			base := (km.color / r.b) * r.b
-			km.color = base + smallestFreeInBlock(in, base, r.t, &km.scratch, int32(round))
+			km.color = base + smallestFreeInBlock(in.Words(), base, r.t, &km.scratch, int32(round))
 		}
 		if r.renumberAfter {
 			// Globally synchronized local renumbering; applied by everyone

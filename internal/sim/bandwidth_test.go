@@ -15,8 +15,8 @@ type sizedExchange struct {
 	acc    int64
 }
 
-func (m *sizedExchange) Step(round int, in, out []sim.Word) bool {
-	for _, w := range in {
+func (m *sizedExchange) Step(round int, in sim.Inbox, out []sim.Word) bool {
+	for _, w := range in.Words() {
 		if w != sim.NoWord {
 			m.acc += w
 		}

@@ -20,7 +20,7 @@ func TestBitAccounting(t *testing.T) {
 	// word (64 bits), vertex 1 nothing; everyone halts after one exchange.
 	g := graph.Path(3)
 	f := func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
-		step := machineFunc(func(round int, in, out []Word) bool {
+		step := machineFunc(func(round int, in Inbox, out []Word) bool {
 			if round == 0 && info.ID != 1 {
 				SendAllWords(out, 7)
 			}
@@ -62,7 +62,7 @@ func TestBitAccountingCombinators(t *testing.T) {
 func TestBitAccountingEnginesAgree(t *testing.T) {
 	g := graph.Complete(9)
 	f := func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
-		return sizedMsg{n: info.ID + 1, machineFunc: func(round int, in, out []Word) bool {
+		return sizedMsg{n: info.ID + 1, machineFunc: func(round int, in Inbox, out []Word) bool {
 			if round < 2 {
 				SendAllWords(out, info.ID)
 				return false

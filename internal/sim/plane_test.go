@@ -138,7 +138,7 @@ func runReference(t *sim.Topology, f sim.Factory, maxRounds int) (sim.Stats, err
 			for p := range out {
 				out[p] = sim.NoWord
 			}
-			if inst.machines[v].Step(round, inst.in[v], out) {
+			if inst.machines[v].Step(round, sim.InboxOf(inst.in[v]), out) {
 				inst.done[v] = true
 				inst.remaining--
 			}
@@ -189,20 +189,20 @@ func planeRandomGraph(seed int64, n int, p float64) *graph.Graph {
 
 // stepFunc adapts a step function to sim.Machine, for the small inline
 // programs of these tests.
-type stepFunc func(round int, in, out []sim.Word) bool
+type stepFunc func(round int, in sim.Inbox, out []sim.Word) bool
 
-func (f stepFunc) Step(round int, in, out []sim.Word) bool { return f(round, in, out) }
+func (f stepFunc) Step(round int, in sim.Inbox, out []sim.Word) bool { return f(round, in, out) }
 
 // sumProgram broadcasts the vertex ID, then stores the neighbor-ID sum.
 func sumProgram(results []int64) sim.Factory {
 	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		return stepFunc(func(round int, in, out []sim.Word) bool {
+		return stepFunc(func(round int, in sim.Inbox, out []sim.Word) bool {
 			if round == 0 {
 				sim.SendAllWords(out, info.ID)
 				return info.Degree == 0
 			}
 			var sum int64
-			for _, w := range in {
+			for _, w := range in.Words() {
 				sum += w
 			}
 			results[info.V] = sum
@@ -217,13 +217,13 @@ func sumProgram(results []int64) sim.Factory {
 func floodProgram(results []int64) sim.Factory {
 	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
 		reached := info.ID == 0
-		return stepFunc(func(round int, in, out []sim.Word) bool {
+		return stepFunc(func(round int, in sim.Inbox, out []sim.Word) bool {
 			if reached {
 				sim.SendAllWords(out, 1)
 				results[info.V] = int64(round)
 				return true
 			}
-			for _, w := range in {
+			for _, w := range in.Words() {
 				if w != sim.NoWord {
 					reached = true
 					break
@@ -247,9 +247,9 @@ type chattyMachine struct {
 	results []int64
 }
 
-func (m *chattyMachine) Step(round int, in, out []sim.Word) bool {
+func (m *chattyMachine) Step(round int, in sim.Inbox, out []sim.Word) bool {
 	acc := m.results[m.info.V]
-	for p, w := range in {
+	for p, w := range in.Words() {
 		switch {
 		case w == sim.NoWord:
 			acc = acc*31 + 7
@@ -539,8 +539,8 @@ func TestAlgorithmEquivalenceMatrix(t *testing.T) {
 func exchangeProgram(rounds int) sim.Factory {
 	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
 		var acc int64
-		return stepFunc(func(round int, in, out []sim.Word) bool {
-			for _, w := range in {
+		return stepFunc(func(round int, in sim.Inbox, out []sim.Word) bool {
+			for _, w := range in.Words() {
 				if w != sim.NoWord {
 					acc += w
 				}
@@ -638,8 +638,8 @@ func wavefrontProgram(span int) sim.Factory {
 	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
 		stop := 1 + int(info.ID)%span
 		var acc int64
-		return stepFunc(func(round int, in, out []sim.Word) bool {
-			for _, w := range in {
+		return stepFunc(func(round int, in sim.Inbox, out []sim.Word) bool {
+			for _, w := range in.Words() {
 				if w != sim.NoWord {
 					acc += w
 				}

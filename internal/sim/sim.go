@@ -4,12 +4,12 @@
 // A network is a Topology: a graph whose vertices are processors with
 // distinct identifiers. An algorithm is a Factory producing one Machine per
 // vertex; a Machine is a pure state machine advanced once per round. In each
-// round every machine reads the words its neighbors sent in the previous
-// round (one inbox slot per incident edge, NoWord where nothing was sent),
-// updates local state, and writes outgoing words (one outbox slot per
-// incident edge). The engine delivers outboxes to inboxes between rounds.
-// Running time is the number of rounds until every machine has halted,
-// exactly the paper's measure.
+// round every machine may read the words its neighbors sent in the previous
+// round (through its Inbox: one slot per incident edge, NoWord where nothing
+// was sent), updates local state, and writes outgoing words (one outbox slot
+// per incident edge). The engine delivers outboxes to inboxes between
+// rounds. Running time is the number of rounds until every machine has
+// halted, exactly the paper's measure.
 //
 // Knowledge model: as is standard for deterministic LOCAL algorithms
 // (KT1), a machine initially knows its own identifier, degree, the global
@@ -30,13 +30,18 @@
 // bit-identical execution; tests assert this.
 //
 // Data plane: the engines run over the graph's flat CSR view (graph.CSR).
-// Inboxes and outboxes are flat []Word slabs with one slot per directed
-// arc, allocated once per run; a vertex's buffers are the slab range given
-// by the CSR offsets. Outboxes are double-buffered and swapped between
-// rounds, and delivery is the Mate permutation, applied lazily while
-// stepping each receiver (in[p] = prevOut[Mate[Off[v]+p]]). The round loop
-// of the one-shard engines performs no heap allocations — see DESIGN.md
-// §7–§8 and the allocation-regression tests.
+// Almost every program sends one word to all of its neighbors, so a
+// round's output is stored per vertex: two parity slabs hold each vertex's
+// broadcast word (NoWord for silence). A vertex whose ports carry
+// different words stores the reserved portWord instead and its words go to
+// a per-arc slab, allocated on a run's first such send. A machine writes
+// into a per-shard scratch outbox; the scan after Step counts the traffic
+// and picks the representation. Delivery is pulled: Inbox.Words gathers
+// the receiver's window from the neighbors' broadcast words (To[j]) and
+// falls back to the per-arc slab (through Mate) only for per-port senders,
+// so a machine that does not read its inbox in a round costs nothing to
+// deliver to. The round loop of the one-shard engines performs no heap
+// allocations — see DESIGN.md §7–§8 and the allocation-regression tests.
 package sim
 
 import (
@@ -44,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -63,12 +69,50 @@ type NodeInfo struct {
 // also implements WordSizer gets per-word bit accounting; every other
 // machine's words are accounted as 64 bits each.
 type Machine interface {
-	// Step executes one synchronous round. in[p] holds the word sent by
-	// the neighbor on port p in the previous round (NoWord if none, and on
-	// round 0). The machine writes words into out[p] (pre-filled with
-	// NoWord). Step returns true when the vertex halts; a halted machine is
-	// never stepped again and sends nothing.
-	Step(round int, in, out []Word) bool
+	// Step executes one synchronous round. in delivers, on demand, the
+	// words the neighbors sent in the previous round (see Inbox). The
+	// machine writes words into out[p] (pre-filled with NoWord), one slot
+	// per port, so its degree is len(out). Step returns true when the
+	// vertex halts; a halted machine is never stepped again and sends
+	// nothing.
+	Step(round int, in Inbox, out []Word) bool
+}
+
+// Inbox is a machine's view of the words its neighbors sent in the
+// previous round. Nothing is gathered until Words is called, so a machine
+// that does not need its inbox in a round does not pay for delivery.
+type Inbox struct {
+	inst *instance
+	// buf is the stepping shard's scratch (MaxDeg slots), or, for an inbox
+	// built from fixed words in tests, the words themselves.
+	buf []Word
+	v   int
+}
+
+// Words returns the inbox: element p is the word sent by the neighbor on
+// port p in the previous round (NoWord if none, and on round 0). The slice
+// is scratch owned by the engine: it is valid only during the Step call
+// that received the Inbox, and the next call to Words overwrites it.
+//
+//distcolor:noalloc
+func (in Inbox) Words() []Word {
+	inst := in.inst
+	if inst == nil {
+		return in.buf
+	}
+	prev := inst.round&1 ^ 1
+	lo, hi := inst.csr.Range(in.v)
+	to := inst.csr.To[lo:hi:hi]
+	bc := inst.bc[prev]
+	buf := in.buf[:len(to):len(to)]
+	for p, u := range to {
+		w := bc[u]
+		if w == portWord {
+			w = inst.ports[prev][inst.csr.Mate[int(lo)+p]]
+		}
+		buf[p] = w
+	}
+	return buf
 }
 
 // Factory creates the machine for one vertex. nbrIDs[p] and nbrLabels[p]
@@ -108,24 +152,39 @@ func (t *Topology) Label(v int) int64 {
 	return t.Labels[v]
 }
 
-// Validate checks that identifiers are distinct.
+// Validate checks that identifiers are distinct. Strictly increasing
+// identifiers (the common case: line-graph topologies number vertices by
+// sorted edge) are distinct by one scan; any other order is checked on a
+// sorted copy.
 func (t *Topology) Validate() error {
 	if t.IDs != nil {
 		if len(t.IDs) != t.G.N() {
 			return fmt.Errorf("sim: %d IDs for %d vertices", len(t.IDs), t.G.N())
 		}
-		seen := make(map[int64]bool, len(t.IDs))
-		for _, id := range t.IDs {
-			if seen[id] {
-				return fmt.Errorf("sim: duplicate identifier %d", id)
+		if !increasing(t.IDs) {
+			ids := slices.Clone(t.IDs)
+			slices.Sort(ids)
+			for i := 1; i < len(ids); i++ {
+				if ids[i] == ids[i-1] {
+					return fmt.Errorf("sim: duplicate identifier %d", ids[i])
+				}
 			}
-			seen[id] = true
 		}
 	}
 	if t.Labels != nil && len(t.Labels) != t.G.N() {
 		return fmt.Errorf("sim: %d labels for %d vertices", len(t.Labels), t.G.N())
 	}
 	return nil
+}
+
+// increasing reports whether ids is strictly increasing.
+func increasing(ids []int64) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // Stats records the cost of an execution or of a composition of executions.
@@ -272,21 +331,20 @@ func (o observedExec) Run(ctx context.Context, t *Topology, f Factory, maxRounds
 
 // instance holds the shared execution state of one run.
 //
-// The message plane is laid out over the graph's CSR view (graph.CSR):
-// flat []Word slabs with one slot per directed arc. Vertex v's buffers are
-// the slab range [Off[v], Off[v+1]) — the port order of Adj(v) — so
-// handing a machine its buffers is a slice expression, not an allocation.
-//
-// Outboxes are double-buffered: machines write outs[round%2] while reading
-// (through the inbox) what the previous round wrote into the other slab.
-// Delivery is the Mate permutation — the word arriving on v's port p is
-// whatever the neighbor wrote on the opposite arc Mate[Off[v]+p] — applied
-// lazily when a vertex is stepped: its inbox window of the in slab is
-// materialized from the previous out slab right before Step, while the
-// slots are about to be read anyway. There is no separate delivery pass,
-// halted vertices' dead inboxes are never materialized, and the buffer
-// swap is a parity flip. All slabs are allocated once per run; the round
-// loop performs no heap allocations.
+// A round's output is stored per vertex, not per arc. bc holds two parity
+// slabs of broadcast words: machines of round r write bc[r%2] while their
+// inboxes read bc[(r+1)%2], what the previous round wrote. A vertex whose
+// ports all carry the same word w (silence included, as NoWord) stores w;
+// any other vertex stores portWord and copies its window into the per-arc
+// slab ports[r%2], laid out over the CSR offsets (vertex v's ports are
+// [Off[v], Off[v+1])). Delivery is pulled by Inbox.Words: the word on v's
+// port p is bc[prev][To[Off[v]+p]], or, for a portWord sender, the slot of
+// the opposite arc Mate[Off[v]+p] in ports[prev]. The per-arc slabs are
+// allocated on a run's first per-port send, so a run that only broadcasts
+// never allocates them; they are never cleared, because a slot is read
+// only in the round after its sender wrote its whole window. All other
+// state is allocated once per run; the round loop performs no heap
+// allocations.
 type instance struct {
 	csr      *graph.CSR
 	machines []Machine
@@ -295,10 +353,14 @@ type instance struct {
 	sizers    []WordSizer
 	done      []bool
 	remaining int
-	// in is the inbox slab; outs are the double-buffered outbox slabs,
-	// alternating by round parity.
-	in   []Word
-	outs [2][]Word
+	// round is the round being stepped; shards only read it.
+	round int
+	// bc are the broadcast-word slabs (one word per vertex) and ports the
+	// per-arc slabs, both alternating by round parity; portsOnce guards
+	// the lazy allocation of ports.
+	bc        [2][]Word
+	ports     [2][]Word
+	portsOnce sync.Once
 	// shards partition the vertices into the contiguous ranges a round
 	// steps, one goroutine each when there is more than one; reverse
 	// visits each range from its highest index down. One-shard engines
@@ -312,12 +374,17 @@ type instance struct {
 // stepping it produced. newly and pending are windows of capacity hi-lo
 // (so appends never allocate) into two instance-wide halt slabs: the
 // vertices of the range that halted in the current and in the previous
-// round, which retireRound drains.
+// round, which retireRound drains. in and out are the shard's MaxDeg-slot
+// inbox and outbox scratch, reused by every vertex it steps.
 type shard struct {
 	lo, hi  int
 	newly   []int32
 	pending []int32
 	sent    sendStats
+	in, out []Word
+	// fault is the lowest vertex of the range that sent portWord, or -1;
+	// the round loop turns it into the run's error.
+	fault int
 }
 
 func newInstance(t *Topology, f Factory, shards int, reverse bool) (*instance, error) {
@@ -334,15 +401,15 @@ func newInstance(t *Topology, f Factory, shards int, reverse bool) (*instance, e
 		sizers:    make([]WordSizer, n),
 		done:      make([]bool, n),
 		remaining: n,
-		in:        make([]Word, arcs),
-		outs:      [2][]Word{make([]Word, arcs), make([]Word, arcs)},
+		bc:        [2][]Word{make([]Word, n), make([]Word, n)},
 		reverse:   reverse,
 	}
-	for _, slab := range [...][]Word{inst.in, inst.outs[0], inst.outs[1]} {
-		for j := range slab {
-			slab[j] = NoWord
+	for _, slab := range inst.bc {
+		for v := range slab {
+			slab[v] = NoWord
 		}
 	}
+	maxDeg := g.MaxDegree()
 	newly, pending := make([]int32, n), make([]int32, n)
 	inst.shards = inst.one[:0]
 	if shards > 1 {
@@ -353,11 +420,14 @@ func newInstance(t *Topology, f Factory, shards int, reverse bool) (*instance, e
 	chunk := (n + shards - 1) / shards
 	for lo := 0; len(inst.shards) == 0 || lo < n; lo += chunk {
 		hi := min(lo+chunk, n)
-		inst.shards = append(inst.shards, shard{lo: lo, hi: hi, newly: newly[lo:lo:hi], pending: pending[lo:lo:hi]})
+		inst.shards = append(inst.shards, shard{
+			lo: lo, hi: hi, newly: newly[lo:lo:hi], pending: pending[lo:lo:hi],
+			in: make([]Word, maxDeg), out: make([]Word, maxDeg), fault: -1,
+		})
 	}
-	// Neighbor knowledge is carved from two flat slabs by the same CSR
-	// offsets as the message plane. Machines must treat the slices as
-	// read-only (they are windows into shared storage).
+	// Neighbor knowledge is carved from two flat slabs by the CSR offsets.
+	// Machines must treat the slices as read-only (they are windows into
+	// shared storage).
 	nbrIDs := make([]int64, arcs)
 	nbrLabels := make([]int64, arcs)
 	for j, u := range csr.To {
@@ -368,7 +438,6 @@ func newInstance(t *Topology, f Factory, shards int, reverse bool) (*instance, e
 			nbrLabels[j] = t.Labels[u]
 		}
 	}
-	maxDeg := g.MaxDegree()
 	for v := 0; v < n; v++ {
 		lo, hi := csr.Range(v)
 		info := NodeInfo{
@@ -403,43 +472,69 @@ func (a *sendStats) add(b sendStats) {
 	}
 }
 
-// stepVertex advances one machine and returns its emitted traffic plus
-// whether the vertex halted during this call. The inbox window is
-// materialized from the previous round's outbox slab through the Mate
-// permutation (this IS message delivery — fused into the step so the slots
-// are written right before Step reads them), the current outbox window is
-// cleared to NoWord per the Machine contract, and the emitted slots are
-// scanned for Stats while still hot.
+// stepVertex advances one machine on shard s and returns its emitted
+// traffic plus whether the vertex halted during this call. The machine
+// writes into the shard's outbox scratch, cleared to NoWord per the
+// Machine contract; the scan that accounts the emitted words for Stats
+// also decides how they are stored: a word carried by every port goes to
+// the broadcast slab (d ports of word w count d messages of bits(w) each,
+// as if stored per arc), anything else goes to the per-arc slab behind
+// portWord. A vertex that sends portWord itself is recorded as the
+// shard's fault, which fails the run at the end of the round.
 //
 //distcolor:noalloc
-func (inst *instance) stepVertex(v, round int) (sendStats, bool) {
+func (inst *instance) stepVertex(s *shard, v, round int) (sendStats, bool) {
 	if inst.done[v] {
 		return sendStats{}, false
 	}
-	prevOut, curOut := inst.outs[(round&1)^1], inst.outs[round&1]
 	lo, hi := inst.csr.Range(v)
-	mate := inst.csr.Mate[lo:hi:hi]
-	in := inst.in[lo:hi:hi]
-	out := curOut[lo:hi:hi]
-	for p := range in {
-		in[p] = prevOut[mate[p]]
+	out := s.out[: hi-lo : hi-lo]
+	for p := range out {
 		out[p] = NoWord
 	}
-	halted := inst.machines[v].Step(round, in, out)
+	halted := inst.machines[v].Step(round, Inbox{inst: inst, buf: s.in, v: v}, out)
 	if halted {
 		inst.done[v] = true
 	}
-	var st sendStats
+	cur := round & 1
 	sz := inst.sizers[v]
+	first := NoWord
+	if len(out) > 0 {
+		first = out[0]
+	}
+	uniform := true
+	for _, w := range out {
+		if w != first {
+			uniform = false
+			break
+		}
+	}
+	var st sendStats
+	if uniform {
+		if first == portWord {
+			s.noteFault(v)
+			return st, halted
+		}
+		inst.bc[cur][v] = first
+		if first == NoWord {
+			return st, halted
+		}
+		b := wordBits(sz, first)
+		d := int64(len(out))
+		return sendStats{msgs: d, bits: d * b, maxBits: b}, halted
+	}
+	inst.bc[cur][v] = portWord
+	copy(inst.portSlab(cur)[lo:hi], out)
 	for _, w := range out {
 		if w == NoWord {
 			continue
 		}
-		st.msgs++
-		b := int64(64)
-		if sz != nil {
-			b = sz.WordBits(w)
+		if w == portWord {
+			s.noteFault(v)
+			return sendStats{}, halted
 		}
+		st.msgs++
+		b := wordBits(sz, w)
 		st.bits += b
 		if b > st.maxBits {
 			st.maxBits = b
@@ -448,9 +543,39 @@ func (inst *instance) stepVertex(v, round int) (sendStats, bool) {
 	return st, halted
 }
 
+// wordBits is the accounted size of w: sz's report, or one 64-bit word
+// when the machine has no WordSizer.
+func wordBits(sz WordSizer, w Word) int64 {
+	if sz == nil {
+		return 64
+	}
+	return sz.WordBits(w)
+}
+
+// noteFault records that vertex v of the shard sent portWord. The lowest
+// such vertex is kept, so every engine reports the same one.
+func (s *shard) noteFault(v int) {
+	if s.fault < 0 || v < s.fault {
+		s.fault = v
+	}
+}
+
+// portSlab returns the per-arc slab of parity cur, allocating both per-arc
+// slabs on the run's first per-port send. Parallel shards may reach it in
+// the same round; the Once serializes the allocation and orders it before
+// every later read of ports (readers in later rounds are ordered by the
+// round barrier).
+func (inst *instance) portSlab(cur int) []Word {
+	inst.portsOnce.Do(func() {
+		arcs := inst.csr.NumArcs()
+		inst.ports = [2][]Word{make([]Word, arcs), make([]Word, arcs)}
+	})
+	return inst.ports[cur]
+}
+
 // stepShard steps every vertex of one shard in the instance's visit order.
-// It writes only its own vertices' inbox and outbox regions and its own
-// shard, so shards of one round may run concurrently.
+// It writes only its own vertices' slab entries and its own shard, so
+// shards of one round may run concurrently.
 func (inst *instance) stepShard(s *shard, round int) {
 	var sent sendStats
 	newly := s.newly
@@ -459,7 +584,7 @@ func (inst *instance) stepShard(s *shard, round int) {
 		v, end, dir = s.hi-1, s.lo-1, -1
 	}
 	for ; v != end; v += dir {
-		st, halted := inst.stepVertex(v, round)
+		st, halted := inst.stepVertex(s, v, round)
 		sent.add(st)
 		if halted {
 			newly = append(newly, int32(v))
@@ -469,10 +594,11 @@ func (inst *instance) stepShard(s *shard, round int) {
 }
 
 // stepRound steps every shard once: inline for one shard, else one
-// goroutine per shard behind a single barrier. A worker materializes
-// inboxes from the previous round's outbox slab, which is frozen during
-// the round, so one barrier per round is all the fused data plane needs.
+// goroutine per shard behind a single barrier. Inboxes read only the slabs
+// of the previous round, which are frozen during the round, so one barrier
+// per round is all the data plane needs.
 func (inst *instance) stepRound(round int) {
+	inst.round = round
 	if len(inst.shards) == 1 {
 		inst.stepShard(&inst.shards[0], round)
 		return
@@ -489,35 +615,42 @@ func (inst *instance) stepRound(round int) {
 }
 
 // retireRound runs at the end of each round, after the slab the round read
-// from (its prevOut) has been fully consumed, and clears in that slab the
-// outbox regions of the vertices that halted this round (killing their
-// stale next-to-last messages) and of those that halted last round
-// (killing their just-consumed final messages). After its two passes over
-// a halted vertex the vertex's region is silent in both slabs and is never
-// written again, so inbox materialization reads silence from it forever —
-// the cost is O(deg) once per vertex, not per round.
+// from (its prev parity) has been fully consumed, and clears in that slab
+// the broadcast words of the vertices that halted this round (their stale
+// next-to-last words) and of those that halted last round (their
+// just-consumed final words). After these two writes a halted vertex is
+// silent in both parities and is never written again: O(1) per vertex.
+// Its per-arc slots need no clearing, since they are read only behind a
+// portWord.
 //
 //distcolor:noalloc
 func (inst *instance) retireRound(round int) {
-	consumed := inst.outs[(round&1)^1]
+	consumed := inst.bc[round&1^1]
 	for i := range inst.shards {
 		s := &inst.shards[i]
-		inst.silence(consumed, s.newly)
-		inst.silence(consumed, s.pending)
+		for _, v := range s.newly {
+			consumed[v] = NoWord
+		}
+		for _, v := range s.pending {
+			consumed[v] = NoWord
+		}
 		s.pending, s.newly = s.newly, s.pending[:0]
 	}
 }
 
-// silence clears the outbox regions of vs in slab.
-//
-//distcolor:noalloc
-func (inst *instance) silence(slab []Word, vs []int32) {
-	for _, v := range vs {
-		lo, hi := inst.csr.Range(int(v))
-		for j := lo; j < hi; j++ {
-			slab[j] = NoWord
+// faultErr returns the error for a round in which some machine sent
+// portWord, or nil.
+func (inst *instance) faultErr(round int) error {
+	v := -1
+	for i := range inst.shards {
+		if f := inst.shards[i].fault; f >= 0 && (v < 0 || f < v) {
+			v = f
 		}
 	}
+	if v < 0 {
+		return nil
+	}
+	return fmt.Errorf("sim: vertex %d sent the reserved word portWord (%d) in round %d", v, portWord, round)
 }
 
 // abortErr is the engine's error for a run cut short by its context; it
@@ -572,15 +705,20 @@ func (e Engine) Run(ctx context.Context, t *Topology, f Factory, maxRounds int) 
 // Instrumented wrappers: the engine only chooses the shard count and the
 // visit order.
 func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, hook RoundHook, bw *Bandwidth) (Stats, error) {
-	n := t.G.N()
 	shards := 1
 	if e == Parallel {
-		shards = shardWorkers(n, stepGrain)
+		shards = shardWorkers(t.G.N(), stepGrain)
 	}
 	inst, err := newInstance(t, f, shards, e == ReverseSequential)
 	if err != nil {
 		return Stats{}, err
 	}
+	return inst.run(ctx, maxRounds, hook, bw)
+}
+
+// run executes the instance's rounds until every machine has halted.
+func (inst *instance) run(ctx context.Context, maxRounds int, hook RoundHook, bw *Bandwidth) (Stats, error) {
+	n := len(inst.machines)
 	var stats Stats
 	for round := 0; inst.remaining > 0; round++ {
 		if ctx.Err() != nil {
@@ -590,6 +728,9 @@ func (e Engine) run(ctx context.Context, t *Topology, f Factory, maxRounds int, 
 			return stats, fmt.Errorf("%w after %d rounds (%d vertices still running)", ErrRoundLimit, round, inst.remaining)
 		}
 		inst.stepRound(round)
+		if err := inst.faultErr(round); err != nil {
+			return stats, err
+		}
 		var sent sendStats
 		for i := range inst.shards {
 			inst.remaining -= len(inst.shards[i].newly)

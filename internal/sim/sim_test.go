@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -24,22 +25,22 @@ func rg(seed int64, n int, p float64) *graph.Graph {
 
 // machineFunc adapts a step function to the Machine interface, for the
 // small inline programs of these tests.
-type machineFunc func(round int, in, out []Word) bool
+type machineFunc func(round int, in Inbox, out []Word) bool
 
-func (f machineFunc) Step(round int, in, out []Word) bool { return f(round, in, out) }
+func (f machineFunc) Step(round int, in Inbox, out []Word) bool { return f(round, in, out) }
 
 // neighborSumProgram: every vertex broadcasts its ID in round 0, sums the
 // received IDs in round 1, stores the result, and halts.
 func neighborSumProgram(results []int64) Factory {
 	return func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
-		return machineFunc(func(round int, in, out []Word) bool {
+		return machineFunc(func(round int, in Inbox, out []Word) bool {
 			switch round {
 			case 0:
 				SendAllWords(out, info.ID)
 				return info.Degree == 0 // isolated vertices are done immediately
 			default:
 				var sum int64
-				for _, w := range in {
+				for _, w := range in.Words() {
 					sum += w
 				}
 				results[info.V] = sum
@@ -83,14 +84,14 @@ func bfsProgram(dist []int) Factory {
 		if reached {
 			dist[info.V] = 0
 		}
-		return machineFunc(func(round int, in, out []Word) bool {
+		return machineFunc(func(round int, in Inbox, out []Word) bool {
 			if reached && !relayed {
 				SendAllWords(out, 1)
 				relayed = true
 				return true
 			}
 			if !reached {
-				for _, w := range in {
+				for _, w := range in.Words() {
 					if w != NoWord {
 						reached = true
 						dist[info.V] = round
@@ -191,7 +192,7 @@ func TestEngineDispatch(t *testing.T) {
 func TestRoundLimitError(t *testing.T) {
 	g := graph.Path(3)
 	forever := func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
-		return machineFunc(func(round int, in, out []Word) bool {
+		return machineFunc(func(round int, in Inbox, out []Word) bool {
 			return false
 		})
 	}
@@ -228,6 +229,30 @@ func TestTopologyValidation(t *testing.T) {
 	}
 }
 
+// TestTopologyValidateRejectsDuplicates covers both paths of Validate:
+// strictly increasing identifiers are accepted by one scan, any other
+// order is checked on a sorted copy.
+func TestTopologyValidateRejectsDuplicates(t *testing.T) {
+	g := graph.Path(4)
+	for _, c := range []struct {
+		ids []int64
+		dup string
+	}{
+		{[]int64{1, 2, 5, 7}, ""},
+		{[]int64{7, 1, 5, 2}, ""},
+		{[]int64{1, 2, 2, 5}, "duplicate identifier 2"},
+		{[]int64{5, 1, 9, 1}, "duplicate identifier 1"},
+	} {
+		err := (&Topology{G: g, IDs: c.ids}).Validate()
+		if c.dup == "" && err != nil {
+			t.Fatalf("%v: %v", c.ids, err)
+		}
+		if c.dup != "" && (err == nil || !strings.Contains(err.Error(), c.dup)) {
+			t.Fatalf("%v: err = %v, want %q", c.ids, err, c.dup)
+		}
+	}
+}
+
 func TestNodeInfoAndNeighborKnowledge(t *testing.T) {
 	g := graph.Star(5)
 	ids := []int64{100, 200, 300, 400, 500}
@@ -241,7 +266,7 @@ func TestNodeInfoAndNeighborKnowledge(t *testing.T) {
 	got := make([]seen, g.N())
 	f := func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
 		got[info.V] = seen{info, append([]int64(nil), nbrIDs...), append([]int64(nil), nbrLabels...)}
-		return machineFunc(func(round int, in, out []Word) bool { return true })
+		return machineFunc(func(round int, in Inbox, out []Word) bool { return true })
 	}
 	if _, err := Sequential.Run(context.Background(), topo, f, 5); err != nil {
 		t.Fatal(err)
@@ -288,18 +313,18 @@ func TestHaltedVertexStopsSending(t *testing.T) {
 	var sawRound1, sawRound2 bool
 	f := func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
 		if info.ID == 0 {
-			return machineFunc(func(round int, in, out []Word) bool {
+			return machineFunc(func(round int, in Inbox, out []Word) bool {
 				SendAllWords(out, 42)
 				return true
 			})
 		}
-		return machineFunc(func(round int, in, out []Word) bool {
+		return machineFunc(func(round int, in Inbox, out []Word) bool {
 			switch round {
 			case 1:
-				sawRound1 = in[0] != NoWord
+				sawRound1 = in.Words()[0] != NoWord
 				return false
 			case 2:
-				sawRound2 = in[0] != NoWord
+				sawRound2 = in.Words()[0] != NoWord
 				return true
 			}
 			return false
@@ -327,7 +352,7 @@ func TestDefaultMaxRounds(t *testing.T) {
 func TestContextAbortsRun(t *testing.T) {
 	g := rg(7, 40, 0.2)
 	forever := func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
-		return machineFunc(func(round int, in, out []Word) bool { return false })
+		return machineFunc(func(round int, in Inbox, out []Word) bool { return false })
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

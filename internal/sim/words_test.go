@@ -33,9 +33,9 @@ type wordSizedMachine struct {
 	results []int64
 }
 
-func (m *wordSizedMachine) Step(round int, in, out []sim.Word) bool {
+func (m *wordSizedMachine) Step(round int, in sim.Inbox, out []sim.Word) bool {
 	acc := m.results[m.info.V]
-	for p, w := range in {
+	for p, w := range in.Words() {
 		if w == sim.NoWord {
 			acc = acc*31 + 7
 		} else {
@@ -56,6 +56,56 @@ func (m *wordSizedMachine) WordBits(w sim.Word) int64 { return w%13 + 14 }
 func wordSizedProgram(results []int64) sim.Factory {
 	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
 		return &wordSizedMachine{info: info, results: results}
+	}
+}
+
+// mixedMachine switches representation from round to round: by
+// (round + ID) mod 5 it broadcasts one word, sends a different word on
+// every port, sends on the even ports only, stays silent, or broadcasts a
+// second word. It reads its inbox only in some rounds (the pull path must
+// not depend on being called), folds what it reads into an accumulator,
+// and halts in round 2 + ID mod 7 right after that round's send, which is
+// a per-port or partly silent send for some vertices.
+type mixedMachine struct {
+	info    sim.NodeInfo
+	results []int64
+}
+
+func (m *mixedMachine) Step(round int, in sim.Inbox, out []sim.Word) bool {
+	id := m.info.ID
+	if (round+int(id%3))%3 != 0 {
+		acc := m.results[m.info.V]
+		for p, w := range in.Words() {
+			if w == sim.NoWord {
+				acc = acc*31 + 7
+			} else {
+				acc = acc*31 + w + int64(p)
+			}
+		}
+		m.results[m.info.V] = acc
+	}
+	switch (round + int(id%5)) % 5 {
+	case 0:
+		sim.SendAllWords(out, id+int64(round))
+	case 1:
+		for p := range out {
+			out[p] = id + int64(p)
+		}
+	case 2:
+		for p := 0; p < len(out); p += 2 {
+			out[p] = id + int64(round)
+		}
+	case 4:
+		sim.SendAllWords(out, 2*id+1)
+	}
+	return round >= 2+int(id%7)
+}
+
+func (m *mixedMachine) WordBits(w sim.Word) int64 { return w%11 + 5 }
+
+func mixedProgram(results []int64) sim.Factory {
+	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
+		return &mixedMachine{info: info, results: results}
 	}
 }
 
@@ -81,6 +131,8 @@ func TestWordPlaneEquivalenceMatrix(t *testing.T) {
 		{"gnp-small", planeRandomGraph(1, 60, 0.15)},
 		{"gnp-sparse", planeRandomGraph(2, 250, 0.015)},
 		{"gnp-dense", planeRandomGraph(3, 50, 0.6)},
+		// Enough vertices for Parallel to shard on a multi-core machine.
+		{"gnp-sharded", planeRandomGraph(4, 1200, 0.006)},
 		{"star", graph.Star(40)},
 		{"path", graph.Path(30)},
 		{"complete", graph.Complete(24)},
@@ -96,14 +148,16 @@ func TestWordPlaneEquivalenceMatrix(t *testing.T) {
 		{"sum", sumProgram},
 		{"flood", floodProgram},
 		{"sized", wordSizedProgram},
+		{"mixed", mixedProgram},
 	}
 	engines := []struct {
 		name string
-		eng  sim.Engine
+		eng  sim.Exec
 	}{
 		{"sequential", sim.Sequential},
 		{"reverse", sim.ReverseSequential},
 		{"parallel", sim.Parallel},
+		{"instrumented", sim.Instrumented(sim.Parallel, func(sim.RoundEvent) {}, &sim.Bandwidth{})},
 	}
 	const maxRounds = 64
 	for _, gc := range graphs {
@@ -140,8 +194,8 @@ func TestWordPlaneEquivalenceMatrix(t *testing.T) {
 func wordExchangeProgram(rounds int) sim.Factory {
 	return func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
 		var acc int64
-		return stepFunc(func(round int, in, out []sim.Word) bool {
-			for _, w := range in {
+		return stepFunc(func(round int, in sim.Inbox, out []sim.Word) bool {
+			for _, w := range in.Words() {
 				if w != sim.NoWord {
 					acc += w
 				}
