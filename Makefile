@@ -95,10 +95,12 @@ staticcheck:
 # (submit/cancel/restart hammer, sharded batch executor, overload floods)
 # — the simulator's sharded engine, the Lemma 5.1 merge (arbor), whose
 # per-port words Parallel shards write into lazily allocated per-arc slabs
-# and read back, the pooled graph scratch tables, and the service-overload
-# bench workload in svcbench.
+# and read back, the Linial and palette-reduction programs (linial,
+# reduce), whose Parallel shards step machines carved from one per-run
+# slab and write one shared color column, the pooled graph scratch tables,
+# and the service-overload bench workload in svcbench.
 race:
-	$(GO) test -race ./internal/service/ ./internal/sim/ ./internal/arbor/ ./internal/graph/ ./internal/svcbench/
+	$(GO) test -race ./internal/service/ ./internal/sim/ ./internal/arbor/ ./internal/linial/ ./internal/reduce/ ./internal/graph/ ./internal/svcbench/
 
 # perfbench/ is its own Go module (its go.mod replaces repro with ../), so
 # `go build ./...` never compiles it; vet and test it here so a simulator API

@@ -34,6 +34,14 @@ var noallocManifest = map[string]string{
 	// algo/linial bench-gate row.
 	"internal/linial.(machine).Step":      "linial reduction step",
 	"internal/linial.(machine).applyStep": "linial polynomial evaluation",
+	// Pinned by TestTrimSteadyStateAllocFree, TestKWSteadyStateAllocFree,
+	// TestSmallestFree and TestSetupAllocsIndependentOfN (reduce_test.go).
+	"internal/reduce.(trimMachine).Step": "trim reduction step",
+	"internal/reduce.(kwMachine).Step":   "kuhn-wattenhofer reduction step",
+	"internal/reduce.smallestFree":       "stack-bitset free slot",
+	// Pinned by TestHPartitionSetupAllocsIndependentOfN (arbor_test.go),
+	// whose two runs differ in round count but not in allocations.
+	"internal/arbor.(peelMachine).Step": "h-partition peeling step",
 	// Pinned at 0 allocs/observation by TestInstrumentsZeroAlloc
 	// (obs_test.go).
 	"internal/obs.(Counter).Add":       "obs hot instrument",

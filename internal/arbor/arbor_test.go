@@ -3,6 +3,7 @@ package arbor
 import (
 	"context"
 	"errors"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -46,6 +47,36 @@ func TestHPartition(t *testing.T) {
 	}
 	if hp.Stats.Rounds != hp.NumParts+1 {
 		t.Fatalf("peeling rounds %d, want parts+1 = %d", hp.Stats.Rounds, hp.NumParts+1)
+	}
+}
+
+// TestHPartitionSetupAllocsIndependentOfN pins the flat peeling program: a
+// run carves its machines from one slab and writes parts into one column,
+// so the number of heap allocations of a whole HPartition is the same on n
+// and on 4n vertices of equal Δ. The grids peel from the border inward, so
+// the larger run also takes more rounds: equal counts pin the peeling
+// Step's steady state at zero allocations too.
+func TestHPartitionSetupAllocsIndependentOfN(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(rows int) (float64, int) {
+		g := gen.Grid(rows, 40)
+		g.CSR()
+		rounds := 0
+		return testing.AllocsPerRun(5, func() {
+			hp, err := HPartition(context.Background(), sim.Sequential, g, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rounds = hp.Stats.Rounds
+		}), rounds
+	}
+	small, smallRounds := allocs(10)
+	large, largeRounds := allocs(40)
+	if small != large {
+		t.Fatalf("HPartition allocates %.0f times on 400 vertices but %.0f on 1600", small, large)
+	}
+	if smallRounds >= largeRounds {
+		t.Fatalf("the larger grid peeled in %d rounds, the smaller in %d: no steady-state rounds compared", largeRounds, smallRounds)
 	}
 }
 

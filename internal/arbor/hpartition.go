@@ -66,14 +66,18 @@ func HPartition(ctx context.Context, eng sim.Exec, g *graph.Graph, threshold int
 		return nil, fmt.Errorf("arbor: threshold %d < 1", threshold)
 	}
 	n := g.N()
-	part := make([]int, n)
+	r := &peelRun{part: make([]int, n), threshold: threshold}
+	machines := make([]peelMachine, n)
 	factory := func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		return &peelMachine{threshold: threshold, sink: &part[info.V]}
+		pm := &machines[info.V]
+		pm.run, pm.v = r, info.V
+		return pm
 	}
 	stats, err := eng.Run(ctx, sim.NewTopology(g), factory, n+4)
 	if err != nil {
 		return nil, fmt.Errorf("arbor: peeling (is the arboricity bound too small?): %w", err)
 	}
+	part := r.part
 	numParts := 0
 	for _, p := range part {
 		if p+1 > numParts {
@@ -89,19 +93,29 @@ func HPartition(ctx context.Context, eng sim.Exec, g *graph.Graph, threshold int
 	}, nil
 }
 
-// peelMachine implements one vertex of the peeling program. Active
-// vertices broadcast a token every round; silence means the sender has
-// been peeled. A vertex reading ≤ threshold active neighbors in round r is
-// peeled into part r−1.
-type peelMachine struct {
+// peelRun is the state one HPartition execution shares among its
+// machines: part[v] is written once, when vertex v is peeled.
+type peelRun struct {
+	part      []int
 	threshold int
-	sink      *int
 }
 
+// peelMachine implements one vertex of the peeling program, carved from a
+// per-run slab. Active vertices broadcast a token every round; silence
+// means the sender has been peeled. A vertex reading ≤ threshold active
+// neighbors in round r is peeled into part r−1.
+type peelMachine struct {
+	run *peelRun
+	v   int
+}
+
+// Step implements sim.Machine.
+//
+//distcolor:noalloc
 func (pm *peelMachine) Step(round int, in sim.Inbox, out []sim.Word) bool {
 	if round == 0 {
 		if len(out) == 0 {
-			*pm.sink = 0
+			pm.run.part[pm.v] = 0
 			return true
 		}
 		sim.SendAllWords(out, 1)
@@ -113,8 +127,8 @@ func (pm *peelMachine) Step(round int, in sim.Inbox, out []sim.Word) bool {
 			active++
 		}
 	}
-	if active <= pm.threshold {
-		*pm.sink = round - 1
+	if active <= pm.run.threshold {
+		pm.run.part[pm.v] = round - 1
 		return true
 	}
 	sim.SendAllWords(out, 1)

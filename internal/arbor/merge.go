@@ -65,30 +65,19 @@ func Merge(ctx context.Context, eng sim.Exec, spec MergeSpec) (*MergeResult, err
 	if spec.D == 0 {
 		return &MergeResult{EdgeColors: spec.EdgeColors}, nil
 	}
-	n := g.N()
-	run := &mergeRun{
-		g:        g,
-		spec:     &spec,
-		errs:     make([]error, n),
-		assigned: make([]int, n),
-		offers:   make([][]int64, n),
-	}
+	run := newMergeRun(&spec)
+	machines := make([]mergeMachine, g.N())
 	factory := func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		v := info.V
-		role := roleIdle
-		if spec.RoleA[v] {
-			role = roleA
-		} else if spec.RoleB[v] {
-			role = roleB
-		}
-		return &mergeMachine{run: run, v: v, role: role}
+		mm := &machines[info.V]
+		run.init(mm, info.V)
+		return mm
 	}
 	stats, err := eng.Run(ctx, sim.NewTopology(g), factory, 2*spec.D+4)
 	if err != nil {
 		return nil, fmt.Errorf("arbor: merge: %w", err)
 	}
 	total := 0
-	for v := 0; v < n; v++ {
+	for v := 0; v < g.N(); v++ {
 		if run.errs[v] != nil {
 			return nil, run.errs[v]
 		}
@@ -121,12 +110,69 @@ type mergeRun struct {
 	assigned []int
 	// offers is the payload table behind offer words: offers[v] holds the
 	// colors on all edges of A-vertex v as of its latest offer. The sender
-	// refills its entry in the round it sends, reusing the slice; the
-	// receiver reads it in the next round, before the sender's next offer
-	// (two rounds later) overwrites it.
+	// refills its entry in the round it sends; the receiver reads it in the
+	// next round, before the sender's next offer (two rounds later)
+	// overwrites it.
 	offers [][]int64
+	// The machines' working storage is carved from three slabs: offerSlab
+	// and portSlab hold each A-vertex's offer entry and crossing ports
+	// (deg slots each), bitSlab each B-vertex's two palette bitsets. The
+	// next* cursors hand out windows as the factory meets the vertices.
+	offerSlab           []int64
+	portSlab            []int32
+	bitSlab             []uint64
+	nextA, nextB, words int
 }
 
+// newMergeRun sizes the slabs for spec's roles.
+func newMergeRun(spec *MergeSpec) *mergeRun {
+	g := spec.G
+	n := g.N()
+	degA, numB := 0, 0
+	for v := 0; v < n; v++ {
+		if spec.RoleA[v] {
+			degA += g.Degree(v)
+		} else if spec.RoleB[v] {
+			numB++
+		}
+	}
+	words := int((spec.Palette + 63) / 64)
+	return &mergeRun{
+		g:         g,
+		spec:      spec,
+		errs:      make([]error, n),
+		assigned:  make([]int, n),
+		offers:    make([][]int64, n),
+		offerSlab: make([]int64, degA),
+		portSlab:  make([]int32, degA),
+		bitSlab:   make([]uint64, 2*numB*words),
+		words:     words,
+	}
+}
+
+// init sets up vertex v's machine: its role and its windows of the run's
+// slabs.
+func (run *mergeRun) init(mm *mergeMachine, v int) {
+	spec := run.spec
+	mm.run, mm.v, mm.role = run, v, roleIdle
+	switch {
+	case spec.RoleA[v]:
+		mm.role = roleA
+		lo := run.nextA
+		run.nextA += run.g.Degree(v)
+		run.offers[v] = run.offerSlab[lo:lo:run.nextA]
+		mm.crossPorts = run.portSlab[lo:lo:run.nextA]
+	case spec.RoleB[v]:
+		mm.role = roleB
+		lo := run.nextB
+		run.nextB += 2 * run.words
+		mm.myColors = run.bitSlab[lo : lo+run.words : lo+run.words]
+		mm.offerScratch = run.bitSlab[lo+run.words : run.nextB : run.nextB]
+	}
+}
+
+// mergeMachine is one vertex of the Lemma 5.1 program, carved from a
+// per-run slab; its slices are windows of the run's slabs.
 type mergeMachine struct {
 	run  *mergeRun
 	v    int
@@ -134,7 +180,7 @@ type mergeMachine struct {
 
 	// A-side state: ports of my uncolored crossing edges, label i = index
 	// i−1.
-	crossPorts []int
+	crossPorts []int32
 	// B-side state: bitset palettes over [0, Palette) (colors at or above
 	// the crossing palette can never be picked, so they are not tracked).
 	// myColors marks the colors on my incident edges (kept fresh);
@@ -172,7 +218,7 @@ func (mm *mergeMachine) Step(round int, in sim.Inbox, out []sim.Word) bool {
 		roles := in.Words()
 		for p, a := range adj {
 			if spec.EdgeColors[a.Edge] < 0 && roles[p] == sim.Word(roleB) {
-				mm.crossPorts = append(mm.crossPorts, p)
+				mm.crossPorts = append(mm.crossPorts, int32(p))
 			}
 		}
 		if len(mm.crossPorts) > spec.D {
@@ -200,11 +246,10 @@ func (mm *mergeMachine) Step(round int, in sim.Inbox, out []sim.Word) bool {
 		mm.sendOffer(i, out)
 		return false
 	case mm.role == roleB && round >= 2 && round%2 == 0:
-		// Round 2i: process the offers of label i.
-		if mm.myColors == nil {
-			words := (spec.Palette + 63) / 64
-			mm.myColors = make([]uint64, words)
-			mm.offerScratch = make([]uint64, words)
+		// Round 2i: process the offers of label i. Round 2 first marks
+		// the colors already on my edges; the crossing edges I color are
+		// marked as I pick them.
+		if round == 2 {
 			for _, a := range adj {
 				if c := spec.EdgeColors[a.Edge]; c >= 0 && c < spec.Palette {
 					markColor(mm.myColors, c)
@@ -245,10 +290,7 @@ func (mm *mergeMachine) sendOffer(i int, out []sim.Word) {
 	}
 	run := mm.run
 	adj := run.g.Adj(mm.v)
-	colors := run.offers[mm.v][:0]
-	if colors == nil {
-		colors = make([]int64, 0, len(adj))
-	}
+	colors := run.offers[mm.v][:0] // a window of deg slots: appends stay in place
 	for _, a := range adj {
 		if c := run.spec.EdgeColors[a.Edge]; c >= 0 {
 			colors = append(colors, c)

@@ -134,9 +134,18 @@ func Reduce(ctx context.Context, eng sim.Exec, t *sim.Topology, m0 int64) (*Resu
 	}
 	delta := t.G.MaxDegree()
 	schedule := BuildSchedule(m0, delta)
-	colors := make([]int64, t.G.N())
+	n := t.G.N()
+	r := &run{schedule: schedule, colors: make([]int64, n)}
+	machines := make([]machine, n)
 	factory := func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		return newMachine(info, schedule, &colors[info.V])
+		start := info.ID
+		if info.Label >= 0 {
+			start = info.Label
+		}
+		r.colors[info.V] = start
+		mc := &machines[info.V]
+		mc.run, mc.v = r, info.V
+		return mc
 	}
 	stats, err := eng.Run(ctx, t, factory, len(schedule)+2)
 	if err != nil {
@@ -146,7 +155,7 @@ func Reduce(ctx context.Context, eng sim.Exec, t *sim.Topology, m0 int64) (*Resu
 	if len(schedule) > 0 {
 		palette = schedule[len(schedule)-1].M
 	}
-	return &Result{Colors: colors, Palette: palette, Stats: stats}, nil
+	return &Result{Colors: r.colors, Palette: palette, Stats: stats}, nil
 }
 
 // FinalPalette returns the palette produced by a schedule starting at m0.
@@ -158,28 +167,29 @@ func FinalPalette(m0 int64, delta int) int64 {
 	return s[len(s)-1].M
 }
 
-// machine is the per-vertex Linial program (colors are single words, so
-// every payload is one sim.Word). The two
-// coefficient buffers are per-machine scratch slabs sized once for the
-// widest schedule step and reused every round, so the steady-state rounds
-// perform no heap allocation.
-type machine struct {
+// run is the state one Reduce execution shares among its machines, as
+// per-vertex columns: colors[v] is vertex v's current color and, once the
+// run ends, its result. Each machine writes only its own entry.
+type run struct {
 	schedule []Step
-	color    int64
-	sink     *int64
-	// mine holds this vertex's d+1 polynomial coefficients; nbrs holds the
-	// concatenated coefficient vectors of the relevant neighbor colors
-	// (deg·(d+1) slots at most).
-	mine []int64
-	nbrs []int64
+	colors   []int64
 }
 
-func newMachine(info sim.NodeInfo, schedule []Step, sink *int64) sim.Machine {
-	start := info.ID
-	if info.Label >= 0 {
-		start = info.Label
-	}
-	return &machine{schedule: schedule, color: start, sink: sink}
+// nbrDigits is the number of neighbor coefficients applyStep keeps on the
+// stack: k·deg ≤ nbrDigits covers every step of the pipelines' line graphs
+// (k = d+1 is a handful, deg a few dozen), so only very dense topologies
+// reach the machine's grow-once slab.
+const nbrDigits = 256
+
+// machine is the per-vertex Linial program (colors are single words, so
+// every payload is one sim.Word). Reduce carves all machines of a run from
+// one slab; a machine's own state is its color column entry.
+type machine struct {
+	run *run
+	v   int
+	// nbrs holds the neighbor coefficient vectors when k·deg exceeds
+	// nbrDigits; it is grown once to the widest such step and reused.
+	nbrs []int64
 }
 
 // Step implements sim.Machine. Round 0 broadcasts the starting
@@ -188,51 +198,54 @@ func newMachine(info sim.NodeInfo, schedule []Step, sink *int64) sim.Machine {
 //
 //distcolor:noalloc
 func (mc *machine) Step(round int, in sim.Inbox, out []sim.Word) bool {
+	schedule := mc.run.schedule
+	color := &mc.run.colors[mc.v]
 	if round == 0 {
-		if len(mc.schedule) == 0 {
-			*mc.sink = mc.color
+		if len(schedule) == 0 {
 			return true
 		}
-		sim.SendAllWords(out, mc.color)
+		sim.SendAllWords(out, *color)
 		return false
 	}
-	st := mc.schedule[round-1]
-	mc.color = mc.applyStep(in.Words(), st)
-	if round == len(mc.schedule) {
-		*mc.sink = mc.color
+	*color = mc.applyStep(*color, in.Words(), schedule[round-1])
+	if round == len(schedule) {
 		return true
 	}
-	sim.SendAllWords(out, mc.color)
+	sim.SendAllWords(out, *color)
 	return false
 }
 
-// applyStep performs one polynomial reduction at a single vertex, writing
-// all coefficient vectors into the machine's scratch slabs.
+// applyStep performs one polynomial reduction of color c at a single
+// vertex. Its own coefficients and, when they fit, the neighbors' live in
+// stack buffers; wider neighborhoods use the machine's grow-once slab.
 //
 //distcolor:noalloc
-func (mc *machine) applyStep(in []sim.Word, st Step) int64 {
+func (mc *machine) applyStep(c int64, in []sim.Word, st Step) int64 {
 	d, q := st.D, st.Q
 	k := int(d + 1)
-	if cap(mc.mine) < k {
-		mc.mine = make([]int64, k)
-	}
-	mine := mc.mine[:k]
-	decomposeInto(mine, mc.color, q)
-	if need := k * len(in); cap(mc.nbrs) < need {
-		mc.nbrs = make([]int64, need)
+	var mineBuf [64]int64 // k = d+1 ≤ 63 (bestStep caps d at 62)
+	mine := mineBuf[:k]
+	decomposeInto(mine, c, q)
+	var nbrBuf [nbrDigits]int64
+	nbrs := nbrBuf[:]
+	if need := k * len(in); need > len(nbrBuf) {
+		if cap(mc.nbrs) < need {
+			mc.nbrs = make([]int64, need)
+		}
+		nbrs = mc.nbrs[:need]
 	}
 	// Decompose each relevant neighbor color once, in port order.
 	cnt := 0
 	for _, w := range in {
-		if w == sim.NoWord || w == mc.color {
+		if w == sim.NoWord || w == c {
 			// A silent port carries nothing; an equal color would mean an
 			// improper input coloring (the caller's validation catches it).
 			continue
 		}
-		decomposeInto(mc.nbrs[cnt*k:cnt*k+k], w, q)
+		decomposeInto(nbrs[cnt*k:cnt*k+k], w, q)
 		cnt++
 	}
-	nbrs := mc.nbrs[:cnt*k]
+	nbrs = nbrs[:cnt*k]
 	for x := int64(0); x < q; x++ {
 		val := evalPoly(mine, x, q)
 		ok := true

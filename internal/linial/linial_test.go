@@ -3,9 +3,11 @@ package linial
 import (
 	"context"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/util"
@@ -163,22 +165,28 @@ func TestReduceQuickOverFamilies(t *testing.T) {
 	}
 }
 
+// TestReduceEnginesAgree runs Reduce on every engine. The grid is large
+// enough for the Parallel engine to step several shards of machines carved
+// from one slab, writing one shared color column (the race pass runs it).
 func TestReduceEnginesAgree(t *testing.T) {
-	g := rg(13, 150, 0.06)
-	r1, err := Reduce(context.Background(), sim.Sequential, sim.NewTopology(g), int64(g.N()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Reduce(context.Background(), sim.Parallel, sim.NewTopology(g), int64(g.N()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Stats != r2.Stats || r1.Palette != r2.Palette {
-		t.Fatal("engines disagree on stats/palette")
-	}
-	for v := range r1.Colors {
-		if r1.Colors[v] != r2.Colors[v] {
-			t.Fatalf("engines disagree at vertex %d", v)
+	for _, g := range []*graph.Graph{rg(13, 150, 0.06), gen.Grid(30, 40)} {
+		r1, err := Reduce(context.Background(), sim.Sequential, sim.NewTopology(g), int64(g.N()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eng := range []sim.Engine{sim.ReverseSequential, sim.Parallel} {
+			r2, err := Reduce(context.Background(), eng, sim.NewTopology(g), int64(g.N()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r1.Stats != r2.Stats || r1.Palette != r2.Palette {
+				t.Fatalf("engine %d disagrees on stats/palette", eng)
+			}
+			for v := range r1.Colors {
+				if r1.Colors[v] != r2.Colors[v] {
+					t.Fatalf("engine %d disagrees at vertex %d", eng, v)
+				}
+			}
 		}
 	}
 }
@@ -227,15 +235,24 @@ func TestApplyStepMatchesReference(t *testing.T) {
 		{D: 3, Q: 31, M: 961},
 		{D: 5, Q: 67, M: 4489},
 	}
+	// wideStep admits neighborhoods (deg ≤ 80 < q/d) whose k·deg digits
+	// overflow the stack buffer and take the machine's grow-once slab.
+	wideStep := Step{D: 5, Q: 409, M: 409 * 409}
 	mc := &machine{} // one machine reused across cases, like across rounds
 	for i := 0; i < 2000; i++ {
 		st := steps[rng.Intn(len(steps))]
+		if i%10 == 0 {
+			st = wideStep
+		}
 		limit := st.Q // inputs to a step are < q^(d+1); keep them small but varied
 		for j := int64(1); j <= st.D; j++ {
 			limit *= st.Q
 		}
 		c := rng.Int63n(limit)
 		deg := rng.Intn(7)
+		if st == wideStep {
+			deg = 50 + rng.Intn(31)
+		}
 		in := make([]sim.Word, deg)
 		ref := make([]int64, deg)
 		for p := 0; p < deg; p++ {
@@ -249,12 +266,14 @@ func TestApplyStepMatchesReference(t *testing.T) {
 				in[p], ref[p] = nc, nc
 			}
 		}
-		mc.color = c
-		got := mc.applyStep(in, st)
+		got := mc.applyStep(c, in, st)
 		want := applyStep(c, ref, st)
 		if got != want {
 			t.Fatalf("case %d: machine applyStep = %d, reference = %d (c=%d step=%+v in=%v)", i, got, want, c, st, in)
 		}
+	}
+	if cap(mc.nbrs) == 0 {
+		t.Fatal("no case reached the grow-once slab")
 	}
 }
 
@@ -283,22 +302,61 @@ func TestApplyStepDeterministicAndProper(t *testing.T) {
 	}
 }
 
-// TestApplyStepSteadyStateAllocFree pins the ported hot path: once a
-// machine's coefficient scratch is warm (first application of its widest
-// schedule step), applying a reduction step allocates nothing — this is
-// what makes whole Linial rounds alloc-free on the word plane.
+// TestApplyStepSteadyStateAllocFree pins the ported hot path: applying a
+// reduction step allocates nothing — the coefficients of a common-degree
+// neighborhood live on the stack, and a neighborhood too wide for the stack
+// buffer reuses the machine's slab once it has grown. This is what makes
+// whole Linial rounds alloc-free on the word plane.
 func TestApplyStepSteadyStateAllocFree(t *testing.T) {
-	st := Step{D: 3, Q: 101, M: 101 * 101}
-	in := []sim.Word{5, sim.NoWord, 90_000, 12345, 671, sim.NoWord, 404}
-	mc := &machine{schedule: []Step{st}}
-	allocs := testing.AllocsPerRun(200, func() {
-		mc.color = 777_123
-		if got := mc.applyStep(in, st); got < 0 || got >= st.M {
-			t.Fatalf("applyStep out of range: %d", got)
+	narrow := []sim.Word{5, sim.NoWord, 90_000, 12345, 671, sim.NoWord, 404}
+	// 128 neighbors need q > d·128; with k = 4 their 512 digits overflow
+	// the stack buffer.
+	wide := make([]sim.Word, 2*nbrDigits/4)
+	for p := range wide {
+		wide[p] = sim.Word(1_000 + 7*p)
+	}
+	mc := &machine{}
+	for _, tc := range []struct {
+		st Step
+		in []sim.Word
+	}{
+		{Step{D: 3, Q: 101, M: 101 * 101}, narrow},
+		{Step{D: 3, Q: 389, M: 389 * 389}, wide},
+	} {
+		st, in := tc.st, tc.in
+		mc.applyStep(777_123, in, st) // grows the slab once for the wide case
+		allocs := testing.AllocsPerRun(200, func() {
+			if got := mc.applyStep(777_123, in, st); got < 0 || got >= st.M {
+				t.Fatalf("applyStep out of range: %d", got)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("deg %d: applyStep allocates %.1f per call in steady state, want 0", len(in), allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("applyStep allocates %.1f per call in steady state, want 0", allocs)
+	}
+	if cap(mc.nbrs) == 0 {
+		t.Fatal("the wide neighborhood did not reach the grow-once slab")
+	}
+}
+
+// TestReduceSetupAllocsIndependentOfN pins the flat program: a run carves
+// its machines from one slab and its colors from one column, so the number
+// of heap allocations of a whole Reduce is the same on n and on 4n
+// vertices of equal Δ (a fixed m0 keeps the schedule identical).
+func TestReduceSetupAllocsIndependentOfN(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(rows int) float64 {
+		g := gen.Grid(rows, 40)
+		topo := sim.NewTopology(g)
+		g.CSR() // build the cached view outside the measurement
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Reduce(context.Background(), sim.Sequential, topo, 1<<20); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(10), allocs(40); small != large {
+		t.Fatalf("Reduce allocates %.0f times on 400 vertices but %.0f on 1600", small, large)
 	}
 }
 

@@ -14,6 +14,7 @@ package reduce
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sim"
 	"repro/internal/util"
@@ -39,76 +40,108 @@ func TrimClasses(ctx context.Context, eng sim.Exec, t *sim.Topology, m, target i
 	if m <= target {
 		return passThrough(t, m)
 	}
-	colors := make([]int64, t.G.N())
+	n := t.G.N()
+	r := &trimRun{colors: make([]int64, n), m: m, target: target}
+	machines := make([]trimMachine, n)
 	factory := func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		return &trimMachine{color: info.Label, m: m, target: target, sink: &colors[info.V]}
+		r.colors[info.V] = info.Label
+		tm := &machines[info.V]
+		tm.run, tm.v = r, info.V
+		return tm
 	}
 	stats, err := eng.Run(ctx, t, factory, int(m-target)+3)
 	if err != nil {
 		return nil, fmt.Errorf("reduce: trim: %w", err)
 	}
-	return &Result{Colors: colors, Palette: target, Stats: stats}, nil
+	return &Result{Colors: r.colors, Palette: target, Stats: stats}, nil
 }
 
+// trimRun is the state one TrimClasses execution shares among its
+// machines: colors[v] is vertex v's current color and, once the run ends,
+// its result. Each machine writes only its own entry.
+type trimRun struct {
+	colors    []int64
+	m, target int64
+}
+
+// trimMachine is one vertex of the trim program, carved from a per-run
+// slab; its state is its colors entry.
 type trimMachine struct {
-	color  int64
-	m      int64
-	target int64
-	sink   *int64
-	// scratch marks occupied offsets during a recoloring step; it is
-	// stamped with the round number so it never needs clearing. Only the
-	// first deg+1 offsets can matter, keeping it small even for big
-	// palettes.
-	scratch []int32
+	run *trimRun
+	v   int
 }
 
 // Step implements sim.Machine: colors are single words.
+//
+//distcolor:noalloc
 func (tm *trimMachine) Step(round int, in sim.Inbox, out []sim.Word) bool {
+	r := tm.run
+	color := &r.colors[tm.v]
 	// Round r processes class m-r (r ≥ 1); round 0 only broadcasts.
 	if round > 0 {
-		class := tm.m - int64(round)
-		if tm.color == class {
-			tm.color = smallestFree(in.Words(), tm.target, &tm.scratch, int32(round))
+		class := r.m - int64(round)
+		if *color == class {
+			*color = smallestFree(in.Words(), 0, r.target)
 		}
-		if class == tm.target {
-			*tm.sink = tm.color
+		if class == r.target {
 			return true
 		}
 	}
-	sim.SendAllWords(out, tm.color)
+	sim.SendAllWords(out, *color)
 	return false
 }
 
-// smallestFree returns the least value in [0, limit) that no inbox word
-// carries. Since at most len(in) values can be occupied, only offsets up to
-// len(in) are tracked; the scratch array is stamped rather than cleared.
-func smallestFree(in []sim.Word, limit int64, scratch *[]int32, stamp int32) int64 {
-	span := int64(len(in)) + 1
-	if span > limit {
-		span = limit
+// stackSpan is the widest span smallestFree tracks in a stack bitset.
+const stackSpan = 256
+
+// smallestFree returns base + the least offset in [0, limit) such that
+// base+offset appears in no inbox word. At most len(in) offsets can be
+// occupied, so only the first len(in)+1 need tracking; up to stackSpan of
+// them live in a stack bitset, and only vertices of higher degree
+// allocate one.
+//
+//distcolor:noalloc
+func smallestFree(in []sim.Word, base, limit int64) int64 {
+	span := min(int64(len(in))+1, limit)
+	var buf [stackSpan / 64]uint64
+	seen := buf[:]
+	if span > stackSpan {
+		seen = wideBitset(span)
 	}
-	if int64(len(*scratch)) < span {
-		*scratch = make([]int32, span)
-		for i := range *scratch {
-			(*scratch)[i] = -1
-		}
-	}
-	s := *scratch
 	for _, c := range in {
-		if c == sim.NoWord {
-			continue
-		}
-		if c >= 0 && c < span {
-			s[c] = stamp
+		if off := c - base; c != sim.NoWord && off >= 0 && off < span {
+			seen[off>>6] |= 1 << (uint64(off) & 63)
 		}
 	}
-	for c := int64(0); c < span; c++ {
-		if s[c] != stamp {
-			return c
+	return base + firstZero(seen, span)
+}
+
+// wideBitset allocates a bitset of span bits, for spans beyond the stack
+// bitset of smallestFree.
+func wideBitset(span int64) []uint64 {
+	return make([]uint64, (span+63)/64)
+}
+
+// firstZero returns the least offset below span whose bit is clear in
+// seen. It cannot fail while span exceeds the number of inbox words, which
+// the callers' target ≥ Δ+1 guarantees; a full span panics out of line.
+func firstZero(seen []uint64, span int64) int64 {
+	for i, w := range seen {
+		if w != ^uint64(0) {
+			if off := int64(i)*64 + int64(bits.TrailingZeros64(^w)); off < span {
+				return off
+			}
+			break
 		}
 	}
-	// Unreachable when limit ≥ deg+1.
-	panic(fmt.Sprintf("reduce: no free color below %d among %d neighbors", limit, len(in)))
+	panicFull(span)
+	return 0
+}
+
+// panicFull reports a full span out of line, keeping the boxing of its
+// arguments off the noalloc paths.
+func panicFull(span int64) {
+	panic(fmt.Sprintf("reduce: no free color among the %d candidates", span))
 }
 
 // KuhnWattenhofer reduces the proper coloring given by the topology's
@@ -125,15 +158,20 @@ func KuhnWattenhofer(ctx context.Context, eng sim.Exec, t *sim.Topology, m, targ
 		return passThrough(t, m)
 	}
 	schedule := kwSchedule(m, target)
-	colors := make([]int64, t.G.N())
+	n := t.G.N()
+	r := &kwRun{colors: make([]int64, n), schedule: schedule}
+	machines := make([]kwMachine, n)
 	factory := func(info sim.NodeInfo, nbrIDs, nbrLabels []int64) sim.Machine {
-		return &kwMachine{color: info.Label, schedule: schedule, sink: &colors[info.V]}
+		r.colors[info.V] = info.Label
+		km := &machines[info.V]
+		km.run, km.v = r, info.V
+		return km
 	}
 	stats, err := eng.Run(ctx, t, factory, len(schedule)+3)
 	if err != nil {
 		return nil, fmt.Errorf("reduce: kw: %w", err)
 	}
-	return &Result{Colors: colors, Palette: target, Stats: stats}, nil
+	return &Result{Colors: r.colors, Palette: target, Stats: stats}, nil
 }
 
 // kwRound is one round of the KW program: process class s (mod B) and, when
@@ -170,68 +208,45 @@ func kwSchedule(m, t int64) []kwRound {
 	return plan
 }
 
-type kwMachine struct {
-	color    int64
+// kwRun is the state one KuhnWattenhofer execution shares among its
+// machines: the round plan and the color column (see trimRun).
+type kwRun struct {
+	colors   []int64
 	schedule []kwRound
-	sink     *int64
-	scratch  []int32 // stamped occupancy buffer, see smallestFree
+}
+
+// kwMachine is one vertex of the KW program, carved from a per-run slab.
+type kwMachine struct {
+	run *kwRun
+	v   int
 }
 
 // Step implements sim.Machine.
+//
+//distcolor:noalloc
 func (km *kwMachine) Step(round int, in sim.Inbox, out []sim.Word) bool {
+	color := &km.run.colors[km.v]
 	if round > 0 {
-		r := km.schedule[round-1]
-		if km.color%r.b == r.s {
+		schedule := km.run.schedule
+		r := schedule[round-1]
+		if *color%r.b == r.s {
 			// Recolor into my block's first t slots, avoiding all neighbor
 			// colors (which are fresh as of last round; concurrent
 			// recolorers share my color class and are non-adjacent).
-			base := (km.color / r.b) * r.b
-			km.color = base + smallestFreeInBlock(in.Words(), base, r.t, &km.scratch, int32(round))
+			*color = smallestFree(in.Words(), (*color/r.b)*r.b, r.t)
 		}
 		if r.renumberAfter {
 			// Globally synchronized local renumbering; applied by everyone
 			// to their own color. Neighbor colors received next round are
 			// post-renumber, keeping views consistent.
-			km.color = (km.color/r.b)*r.t + km.color%r.b
+			*color = (*color/r.b)*r.t + *color%r.b
 		}
-		if round == len(km.schedule) {
-			*km.sink = km.color
+		if round == len(schedule) {
 			return true
 		}
 	}
-	sim.SendAllWords(out, km.color)
+	sim.SendAllWords(out, *color)
 	return false
-}
-
-// smallestFreeInBlock returns base + the least offset in [0, t) such that
-// base+offset appears in no inbox word. The scratch array is stamped
-// rather than cleared between rounds.
-func smallestFreeInBlock(in []sim.Word, base, t int64, scratch *[]int32, stamp int32) int64 {
-	span := int64(len(in)) + 1
-	if span > t {
-		span = t
-	}
-	if int64(len(*scratch)) < span {
-		*scratch = make([]int32, span)
-		for i := range *scratch {
-			(*scratch)[i] = -1
-		}
-	}
-	s := *scratch
-	for _, c := range in {
-		if c == sim.NoWord {
-			continue
-		}
-		if c >= base && c < base+span {
-			s[c-base] = stamp
-		}
-	}
-	for off := int64(0); off < span; off++ {
-		if s[off] != stamp {
-			return off
-		}
-	}
-	panic(fmt.Sprintf("reduce: block full: no offset below %d free among %d neighbors", t, len(in)))
 }
 
 // Auto reduces m → target choosing the cheaper of TrimClasses

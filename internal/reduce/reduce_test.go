@@ -3,9 +3,11 @@ package reduce
 import (
 	"context"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/verify"
@@ -227,23 +229,32 @@ func TestEstimateAutoRounds(t *testing.T) {
 	}
 }
 
+// TestKWEnginesAgree runs trim and KW on every engine. The grid is large
+// enough for the Parallel engine to step several shards of machines carved
+// from one slab, writing one shared color column (the race pass runs it).
 func TestKWEnginesAgree(t *testing.T) {
-	g := rg(14, 90, 0.1)
-	sd, m := greedySeed(g, 31)
-	target := int64(g.MaxDegree()) + 1
-	t1 := &sim.Topology{G: g, Labels: sd}
-	t2 := &sim.Topology{G: g, Labels: sd}
-	r1, err := KuhnWattenhofer(context.Background(), sim.Sequential, t1, m, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := KuhnWattenhofer(context.Background(), sim.Parallel, t2, m, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range r1.Colors {
-		if r1.Colors[v] != r2.Colors[v] {
-			t.Fatal("engine mismatch")
+	for _, g := range []*graph.Graph{rg(14, 90, 0.1), gen.Grid(30, 40)} {
+		sd, m := greedySeed(g, 31)
+		target := int64(g.MaxDegree()) + 1
+		for _, alg := range []func(context.Context, sim.Exec, *sim.Topology, int64, int64) (*Result, error){KuhnWattenhofer, TrimClasses} {
+			r1, err := alg(context.Background(), sim.Sequential, &sim.Topology{G: g, Labels: sd}, m, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, eng := range []sim.Engine{sim.ReverseSequential, sim.Parallel} {
+				r2, err := alg(context.Background(), eng, &sim.Topology{G: g, Labels: sd}, m, target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r1.Stats != r2.Stats {
+					t.Fatalf("engine %d: stats mismatch", eng)
+				}
+				for v := range r1.Colors {
+					if r1.Colors[v] != r2.Colors[v] {
+						t.Fatal("engine mismatch")
+					}
+				}
+			}
 		}
 	}
 }
@@ -299,5 +310,58 @@ func TestKWSteadyStateAllocFree(t *testing.T) {
 	if long-short >= extraRounds {
 		t.Fatalf("kw allocates per round: %.1f extra allocs over %.0f extra rounds (%.1f vs %.1f)",
 			long-short, extraRounds, long, short)
+	}
+}
+
+// TestSetupAllocsIndependentOfN pins the flat programs: a trim or KW run
+// carves its machines from one slab and its colors from one column, and a
+// recoloring finds its free slot in a stack bitset, so the number of heap
+// allocations of a whole run is the same on n and on 4n vertices of equal
+// Δ (equal palettes keep the round plans identical).
+func TestSetupAllocsIndependentOfN(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, alg := range []struct {
+		name string
+		run  func(context.Context, sim.Exec, *sim.Topology, int64, int64) (*Result, error)
+	}{{"trim", TrimClasses}, {"kw", KuhnWattenhofer}} {
+		allocs := func(rows int) float64 {
+			g := gen.Grid(rows, 40)
+			sd, m := greedySeed(g, 8)
+			target := int64(g.MaxDegree()) + 1
+			g.CSR()
+			return testing.AllocsPerRun(5, func() {
+				topo := &sim.Topology{G: g, Labels: sd}
+				if _, err := alg.run(context.Background(), sim.Sequential, topo, m, target); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if small, large := allocs(10), allocs(40); small != large {
+			t.Fatalf("%s allocates %.0f times on 400 vertices but %.0f on 1600", alg.name, small, large)
+		}
+	}
+}
+
+// TestSmallestFree pins the merged free-slot helper: the least offset in
+// [0, limit) not carried by the inbox, relative to base, on the stack
+// bitset and on the wide path, and without allocating on the stack path.
+func TestSmallestFree(t *testing.T) {
+	in := []sim.Word{sim.NoWord, 10, 12, 11, 3, 14, -5}
+	if got := smallestFree(in, 10, 8); got != 13 {
+		t.Fatalf("smallestFree(base 10) = %d, want 13", got)
+	}
+	if got := smallestFree(in, 0, 8); got != 0 {
+		t.Fatalf("smallestFree(base 0) = %d, want 0", got)
+	}
+	wide := make([]sim.Word, 2*stackSpan)
+	for p := range wide {
+		wide[p] = sim.Word(100 + p)
+	}
+	wide[300] = sim.NoWord // offset 300 free, beyond the stack bitset
+	if got := smallestFree(wide, 100, 1<<20); got != 400 {
+		t.Fatalf("smallestFree(wide) = %d, want 400", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { smallestFree(in, 10, 8) }); allocs != 0 {
+		t.Fatalf("smallestFree allocates %.1f per call on the stack path, want 0", allocs)
 	}
 }

@@ -14,7 +14,15 @@
 // Knowledge model: as is standard for deterministic LOCAL algorithms
 // (KT1), a machine initially knows its own identifier, degree, the global
 // parameters n and Δ, and its neighbors' identifiers and seed labels. All
-// other information must travel over edges.
+// other information must travel over edges. The engine hands the
+// neighbors' identifiers and labels to the Factory in two MaxDeg-slot
+// windows that it refills for every vertex, so they are valid only during
+// that call, so the engine's setup allocates nothing per arc.
+//
+// Programs are flat: the repository's factories carve every machine of a
+// run from one slab and keep per-vertex state in columns owned by the run,
+// so a run allocates O(1) objects however many vertices it has — see
+// DESIGN.md §8.
 //
 // Every message is one Word (words.go). A program whose messages are wider
 // than a word sends a handle into storage it owns and reports the honest
@@ -115,10 +123,13 @@ func (in Inbox) Words() []Word {
 	return buf
 }
 
-// Factory creates the machine for one vertex. nbrIDs[p] and nbrLabels[p]
-// are the identifier and seed label of the neighbor on port p. Both slices
-// are read-only windows into engine-owned storage shared by all vertices
-// of the run: machines must not modify them (copy first to mutate).
+// Factory creates the machine for one vertex; the engine calls it once per
+// vertex, before round 0. nbrIDs[p] and nbrLabels[p] are the identifier and
+// seed label of the neighbor on port p. Both slices are engine-owned
+// windows that the engine refills for the next vertex: they are valid only
+// during the call, so a machine that needs them later must copy them.
+// Factories must not modify them. A factory may return a pointer into a
+// slab of machines it allocated once for the whole run.
 type Factory func(info NodeInfo, nbrIDs []int64, nbrLabels []int64) Machine
 
 // Topology is a network: a graph plus per-vertex identifiers and optional
@@ -349,7 +360,9 @@ type instance struct {
 	csr      *graph.CSR
 	machines []Machine
 	// sizers holds each machine's WordSizer (nil entries use the default
-	// 64-bit accounting), asserted once so the hot loop does not.
+	// 64-bit accounting), asserted once so the hot loop does not. It is
+	// allocated on the first machine that has one, so a run of a program
+	// without a WordSizer leaves it nil.
 	sizers    []WordSizer
 	done      []bool
 	remaining int
@@ -394,11 +407,9 @@ func newInstance(t *Topology, f Factory, shards int, reverse bool) (*instance, e
 	g := t.G
 	n := g.N()
 	csr := g.CSR()
-	arcs := csr.NumArcs()
 	inst := &instance{
 		csr:       csr,
 		machines:  make([]Machine, n),
-		sizers:    make([]WordSizer, n),
 		done:      make([]bool, n),
 		remaining: n,
 		bc:        [2][]Word{make([]Word, n), make([]Word, n)},
@@ -425,32 +436,32 @@ func newInstance(t *Topology, f Factory, shards int, reverse bool) (*instance, e
 			in: make([]Word, maxDeg), out: make([]Word, maxDeg), fault: -1,
 		})
 	}
-	// Neighbor knowledge is carved from two flat slabs by the CSR offsets.
-	// Machines must treat the slices as read-only (they are windows into
-	// shared storage).
-	nbrIDs := make([]int64, arcs)
-	nbrLabels := make([]int64, arcs)
-	for j, u := range csr.To {
-		nbrIDs[j] = t.ID(int(u))
-		if t.Labels == nil {
-			nbrLabels[j] = -1
-		} else {
-			nbrLabels[j] = t.Labels[u]
-		}
-	}
+	// Neighbor knowledge is gathered per vertex into two MaxDeg-slot
+	// windows right before its factory call and reused for the next
+	// vertex, so setup allocates no per-arc storage.
+	nbrIDs := make([]int64, maxDeg)
+	nbrLabels := make([]int64, maxDeg)
 	for v := 0; v < n; v++ {
 		lo, hi := csr.Range(v)
+		deg := int(hi - lo)
+		ids, labels := nbrIDs[:deg:deg], nbrLabels[:deg:deg]
+		for p, u := range csr.To[lo:hi] {
+			ids[p], labels[p] = t.ID(int(u)), t.Label(int(u))
+		}
 		info := NodeInfo{
 			V:      v,
 			ID:     t.ID(v),
 			Label:  t.Label(v),
-			Degree: int(hi - lo),
+			Degree: deg,
 			N:      n,
 			MaxDeg: maxDeg,
 		}
-		m := f(info, nbrIDs[lo:hi:hi], nbrLabels[lo:hi:hi])
+		m := f(info, ids, labels)
 		inst.machines[v] = m
 		if s, ok := m.(WordSizer); ok {
+			if inst.sizers == nil {
+				inst.sizers = make([]WordSizer, n)
+			}
 			inst.sizers[v] = s
 		}
 	}
@@ -497,7 +508,10 @@ func (inst *instance) stepVertex(s *shard, v, round int) (sendStats, bool) {
 		inst.done[v] = true
 	}
 	cur := round & 1
-	sz := inst.sizers[v]
+	var sz WordSizer
+	if inst.sizers != nil {
+		sz = inst.sizers[v]
+	}
 	first := NoWord
 	if len(out) > 0 {
 		first = out[0]

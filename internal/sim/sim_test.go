@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -253,39 +255,81 @@ func TestTopologyValidateRejectsDuplicates(t *testing.T) {
 	}
 }
 
+// TestNodeInfoAndNeighborKnowledge checks every vertex's initial
+// knowledge on every engine: its NodeInfo, and the neighbor IDs and labels
+// in port order. The engine refills one pair of windows per factory call,
+// so a graph mixing degrees (a hub, leaves, a path, an isolated vertex)
+// with custom IDs and labels catches a window that is stale or cut at the
+// wrong length.
 func TestNodeInfoAndNeighborKnowledge(t *testing.T) {
-	g := graph.Star(5)
-	ids := []int64{100, 200, 300, 400, 500}
-	labels := []int64{7, 8, 9, 10, 11}
+	b := graph.NewBuilder(9)
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {5, 6}, {6, 7}, {2, 3}} {
+		b.AddEdge(e[0], e[1])
+	}
+	g := b.MustBuild() // vertex 8 is isolated
+	n := g.N()
+	ids := make([]int64, n)
+	labels := make([]int64, n)
+	for v := range ids {
+		ids[v] = int64(1000 - 37*v)
+		labels[v] = int64(7 + 3*v)
+	}
 	topo := &Topology{G: g, IDs: ids, Labels: labels}
 	type seen struct {
 		info   NodeInfo
 		nbrIDs []int64
 		nbrLbl []int64
 	}
-	got := make([]seen, g.N())
-	f := func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
-		got[info.V] = seen{info, append([]int64(nil), nbrIDs...), append([]int64(nil), nbrLabels...)}
-		return machineFunc(func(round int, in Inbox, out []Word) bool { return true })
+	for _, eng := range []Engine{Sequential, ReverseSequential, Parallel} {
+		got := make([]seen, n)
+		f := func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine {
+			got[info.V] = seen{info, append([]int64(nil), nbrIDs...), append([]int64(nil), nbrLabels...)}
+			return machineFunc(func(round int, in Inbox, out []Word) bool { return true })
+		}
+		if _, err := eng.Run(context.Background(), topo, f, 5); err != nil {
+			t.Fatal(err)
+		}
+		for v, s := range got {
+			want := NodeInfo{V: v, ID: ids[v], Label: labels[v], Degree: g.Degree(v), N: n, MaxDeg: 5}
+			if s.info != want {
+				t.Fatalf("engine %d, vertex %d: info %+v, want %+v", eng, v, s.info, want)
+			}
+			adj := g.Adj(v)
+			if len(s.nbrIDs) != len(adj) || len(s.nbrLbl) != len(adj) {
+				t.Fatalf("engine %d, vertex %d: %d IDs and %d labels for degree %d", eng, v, len(s.nbrIDs), len(s.nbrLbl), len(adj))
+			}
+			for p, a := range adj {
+				if s.nbrIDs[p] != ids[a.To] || s.nbrLbl[p] != labels[a.To] {
+					t.Fatalf("engine %d, vertex %d, port %d: knowledge (%d, %d), want (%d, %d)",
+						eng, v, p, s.nbrIDs[p], s.nbrLbl[p], ids[a.To], labels[a.To])
+				}
+			}
+		}
 	}
+}
+
+// TestSetupBytesScaleWithVerticesNotArcs pins setup's footprint on a dense
+// graph: the engine keeps per-vertex slabs and MaxDeg-slot scratch only,
+// so a run on K_300 (89,700 arcs) allocates bytes on the order of
+// n + MaxDeg, well below even one word per arc.
+func TestSetupBytesScaleWithVerticesNotArcs(t *testing.T) {
+	g := graph.Complete(300)
+	topo := NewTopology(g)
+	g.CSR() // the cached view is the graph's, not the run's
+	halt := machineFunc(func(round int, in Inbox, out []Word) bool { return true })
+	f := func(info NodeInfo, nbrIDs, nbrLabels []int64) Machine { return halt }
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	if _, err := Sequential.Run(context.Background(), topo, f, 5); err != nil {
 		t.Fatal(err)
 	}
-	center := got[0]
-	if center.info.ID != 100 || center.info.Degree != 4 || center.info.MaxDeg != 4 || center.info.N != 5 {
-		t.Fatalf("center info wrong: %+v", center.info)
-	}
-	if len(center.nbrIDs) != 4 {
-		t.Fatal("center should see 4 neighbor IDs")
-	}
-	for p, a := range g.Adj(0) {
-		if center.nbrIDs[p] != ids[a.To] || center.nbrLbl[p] != labels[a.To] {
-			t.Fatal("neighbor knowledge mismatched with ports")
-		}
-	}
-	leaf := got[3]
-	if leaf.info.Label != 10 || len(leaf.nbrIDs) != 1 || leaf.nbrIDs[0] != 100 {
-		t.Fatalf("leaf knowledge wrong: %+v", leaf)
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	n, maxDeg, arcs := uint64(g.N()), uint64(g.MaxDegree()), uint64(g.CSR().NumArcs())
+	if limit := 128 * (n + maxDeg); bytes > limit || bytes >= 8*arcs {
+		t.Fatalf("a run on K_300 allocated %d bytes; want at most %d (128 per vertex and degree slot), below %d (one word per arc)",
+			bytes, limit, 8*arcs)
 	}
 }
 
