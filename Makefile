@@ -20,7 +20,7 @@ BENCH_COUNT ?= 1
 # replayed exactly by re-running with the seed from its report.
 CHAOS_SEED ?= 1
 
-.PHONY: build test vet lint lint-codec fmt-check staticcheck race perfbench bench bench-algos bench-baseline bench-check bench-codec tables fuzz profile chaos ci
+.PHONY: build test vet lint lint-codec fmt-check staticcheck race perfbench bench bench-algos bench-baseline bench-check bench-codec tables fuzz profile chaos chaos-race ci
 
 # Where `make profile` writes cpu.pprof/heap.pprof; CI uploads it as an
 # artifact on pull requests.
@@ -161,6 +161,12 @@ fuzz:
 # so `make chaos CHAOS_SEED=<seed from the report>` replays it bit-for-bit.
 chaos:
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test ./internal/service -run '^TestChaos$$' -v -count=1
+
+# The chaos suite under the race detector, five times at the default seed.
+# The detector's scheduling widens windows plain runs never hit: it is how
+# a job turning visible before its terminal journal fsync was caught.
+chaos-race:
+	$(GO) test -race -count=5 -run '^TestChaos$$' ./internal/service/
 
 # The JSON-vs-binary codec benchmark (encode/decode of the 100k pipeline
 # request). `make bench-codec BENCH_COUNT=10 > codec.txt` gives benchstat

@@ -20,16 +20,18 @@ package analyzers
 // branch ending in return, panic, os.Exit, continue, or goto
 // contributes nothing, an if without else joins against the entry
 // state, a switch without a default keeps the entry state as a
-// reaching path, and a select always runs exactly one arm. So a Lock
-// taken in every branch proves the lock after the join, an early
-// `Unlock(); return` branch does not kill it, and a conditional or
-// select-arm Unlock does.
+// reaching path, a select always runs exactly one arm, and every break
+// carries its state to the code after the loop, switch, or select it
+// leaves, however deep in the body it sits. So a Lock taken in every
+// branch proves the lock after the join, an early `Unlock(); return`
+// branch does not kill it, and a conditional, select-arm, or
+// `Unlock(); break` Unlock does.
 //
 // Three structural exemptions keep the check aligned with the
 // repository's conventions rather than fighting them:
 //
 //   - functions whose name ends in "Locked" (the caller-holds-the-lock
-//     naming convention, e.g. job.finishLocked);
+//     naming convention, e.g. Server.admitLocked);
 //   - functions whose doc comment says the caller must hold the lock
 //     ("must be held", "caller holds", "while holding");
 //   - values constructed in this function (`x := &T{...}`): until the
@@ -145,6 +147,43 @@ type lockScan struct {
 	exempt      bool
 	constructed map[string]bool // locals built from composite literals here
 	lits        []*ast.FuncLit  // nested literals, scanned as fresh contexts
+	breaks      []*breakFrame   // enclosing breakable statements, innermost last
+	label       string          // label of the statement about to be scanned
+}
+
+// breakFrame collects the held state at every break that leaves one
+// breakable statement (for, range, switch, type switch, select): each
+// such state reaches the code after the statement, wherever in its body
+// the break sits.
+type breakFrame struct {
+	label  string
+	states []map[string]bool
+}
+
+// pushBreaks opens the break frame of the breakable statement being
+// scanned, taking the label that names it, if any.
+func (sc *lockScan) pushBreaks() {
+	sc.breaks = append(sc.breaks, &breakFrame{label: sc.label})
+	sc.label = ""
+}
+
+// popBreaks closes the innermost break frame and returns the held states
+// its breaks recorded.
+func (sc *lockScan) popBreaks() []map[string]bool {
+	f := sc.breaks[len(sc.breaks)-1]
+	sc.breaks = sc.breaks[:len(sc.breaks)-1]
+	return f.states
+}
+
+// recordBreak files the held state at a break with the statement it
+// leaves: the innermost frame, or the one its label names.
+func (sc *lockScan) recordBreak(br *ast.BranchStmt, held map[string]bool) {
+	for i := len(sc.breaks) - 1; i >= 0; i-- {
+		if br.Label == nil || sc.breaks[i].label == br.Label.Name {
+			sc.breaks[i].states = append(sc.breaks[i].states, copyHeld(held))
+			return
+		}
+	}
 }
 
 // flowExit describes how control leaves a statement or sequence:
@@ -217,6 +256,7 @@ func (sc *lockScan) scanStmt(st ast.Stmt, held map[string]bool) flowExit {
 		return flowStops
 	case *ast.BranchStmt:
 		if st.Tok == token.BREAK {
+			sc.recordBreak(st, held)
 			return flowBreaks
 		}
 		return flowStops // continue, goto, fallthrough leave this path
@@ -238,7 +278,10 @@ func (sc *lockScan) scanStmt(st ast.Stmt, held map[string]bool) flowExit {
 	case *ast.BlockStmt:
 		return sc.scanStmts(st.List, held) // a bare block is still linear flow
 	case *ast.LabeledStmt:
-		return sc.scanStmt(st.Stmt, held)
+		sc.label = st.Label.Name
+		exit := sc.scanStmt(st.Stmt, held)
+		sc.label = ""
+		return exit
 	case *ast.IfStmt:
 		if st.Init != nil {
 			sc.scanStmt(st.Init, held)
@@ -279,19 +322,23 @@ func (sc *lockScan) scanStmt(st ast.Stmt, held map[string]bool) flowExit {
 			sc.checkExpr(st.Cond, held)
 		}
 		body := copyHeld(held)
+		sc.pushBreaks()
 		exit := sc.scanStmts(st.Body.List, body)
 		if exit == flowFalls && st.Post != nil {
 			sc.scanStmt(st.Post, body)
 		}
 		// The code after the loop joins the entry state (zero
-		// iterations) with what a body path left behind — where the scan
-		// stopped at a break, body holds exactly the state at the break.
+		// iterations), what a body path left behind, and the state at
+		// every break out of the loop.
 		intersectInto(held, body)
+		intersectAll(held, sc.popBreaks())
 	case *ast.RangeStmt:
 		sc.checkExpr(st.X, held)
 		body := copyHeld(held)
+		sc.pushBreaks()
 		sc.scanStmts(st.Body.List, body)
 		intersectInto(held, body)
+		intersectAll(held, sc.popBreaks())
 	case *ast.SwitchStmt:
 		if st.Init != nil {
 			sc.scanStmt(st.Init, held)
@@ -309,7 +356,8 @@ func (sc *lockScan) scanStmt(st ast.Stmt, held map[string]bool) flowExit {
 	case *ast.SelectStmt:
 		// Exactly one clause always runs (default is itself a clause):
 		// the join is the intersection of the arms that reach it, with no
-		// entry-state fall-through.
+		// entry-state fall-through, plus every break out of the select.
+		sc.pushBreaks()
 		var outs []map[string]bool
 		for _, cl := range st.Body.List {
 			cc, ok := cl.(*ast.CommClause)
@@ -320,10 +368,11 @@ func (sc *lockScan) scanStmt(st ast.Stmt, held map[string]bool) flowExit {
 			if cc.Comm != nil {
 				sc.scanStmt(cc.Comm, arm)
 			}
-			if exit := sc.scanStmts(cc.Body, arm); exit != flowStops {
+			if exit := sc.scanStmts(cc.Body, arm); exit == flowFalls {
 				outs = append(outs, arm)
 			}
 		}
+		outs = append(outs, sc.popBreaks()...)
 		if len(outs) == 0 {
 			return flowStops // every arm leaves, or select{} blocks forever
 		}
@@ -334,9 +383,11 @@ func (sc *lockScan) scanStmt(st ast.Stmt, held map[string]bool) flowExit {
 
 // joinCaseArms scans each case body of a switch or type switch on a
 // copy of the entry state and joins the after-construct state: the
-// intersection of every arm that can reach it, plus the entry state
-// itself when there is no default arm (no case may match).
+// intersection of every arm that can reach it and every break out of
+// the switch, plus the entry state itself when there is no default arm
+// (no case may match).
 func (sc *lockScan) joinCaseArms(clauses []ast.Stmt, held map[string]bool) flowExit {
+	sc.pushBreaks()
 	hasDefault := false
 	var outs []map[string]bool
 	for _, cl := range clauses {
@@ -351,10 +402,11 @@ func (sc *lockScan) joinCaseArms(clauses []ast.Stmt, held map[string]bool) flowE
 			sc.checkExpr(e, held)
 		}
 		arm := copyHeld(held)
-		if exit := sc.scanStmts(cc.Body, arm); exit != flowStops {
+		if exit := sc.scanStmts(cc.Body, arm); exit == flowFalls {
 			outs = append(outs, arm)
 		}
 	}
+	outs = append(outs, sc.popBreaks()...)
 	if !hasDefault {
 		// Some value may match no case: the entry state reaches the join.
 		for _, o := range outs {
@@ -481,6 +533,14 @@ func replaceHeld(dst, src map[string]bool) {
 	}
 	for k, v := range src {
 		dst[k] = v
+	}
+}
+
+// intersectAll removes from dst every lock some state in srcs does not
+// hold.
+func intersectAll(dst map[string]bool, srcs []map[string]bool) {
+	for _, src := range srcs {
+		intersectInto(dst, src)
 	}
 }
 

@@ -105,6 +105,57 @@ func (c *counterSet) SelectRelease(done chan int) {
 	c.n++ // want "c.n is guarded by c.mu, which SelectRelease does not hold"
 }
 
+// LoopUnlockBreak releases and breaks out of the loop on one path: the
+// break carries the unlocked state past the loop, so the read after it
+// is unguarded even though the fall-through path still holds the lock.
+func (c *counterSet) LoopUnlockBreak(items []int) int {
+	c.mu.Lock()
+	for _, it := range items {
+		if it > 10 {
+			c.mu.Unlock()
+			break
+		}
+		c.n += it
+	}
+	return c.n // want "c.n is guarded by c.mu, which LoopUnlockBreak does not hold"
+}
+
+// LabeledBreak leaves the outer loop from inside a switch: the labeled
+// break's unlocked state reaches the code after the loop, not the code
+// after the switch.
+func (c *counterSet) LabeledBreak(items []int) int {
+	c.mu.Lock()
+outer:
+	for _, it := range items {
+		switch {
+		case it > 10:
+			c.mu.Unlock()
+			break outer
+		case it < 0:
+			continue
+		}
+		c.n += it
+	}
+	return c.n // want "c.n is guarded by c.mu, which LabeledBreak does not hold"
+}
+
+// SwitchBreakHeld breaks out of a switch arm with the lock still held:
+// a negative, the break state joins like a fall-through.
+func (c *counterSet) SwitchBreakHeld(mode int) {
+	c.mu.Lock()
+	switch mode {
+	case 0:
+		if c.n > 0 {
+			break
+		}
+		c.n = 1
+	default:
+		c.n = mode
+	}
+	c.n++
+	c.mu.Unlock()
+}
+
 // RelockLoop re-acquires on every iteration; after the loop the entry
 // state (unlocked) joins the body outcome (unlocked): no lock, but no
 // access either. The access inside the body is covered.

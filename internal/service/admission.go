@@ -75,16 +75,18 @@ func (e *OverloadError) Is(target error) bool {
 const jobCostBase = 4096
 
 // jobCostPerEdge prices one edge: the spec pair, the CSR arcs, and the
-// simulator's per-arc message slabs. Chunked ingest charges admission with
-// the same constant, so a streamed job's accumulated charge equals what
-// jobCost would have said had the request arrived buffered.
+// edge-proportional state a run builds on them (line-graph adjacency for
+// the edge colorers, per-arc word slabs for programs that send per port;
+// broadcast runs store one word per vertex). Chunked ingest charges
+// admission with the same constant, so a streamed job's accumulated charge
+// equals what jobCost would have said had the request arrived buffered.
 const jobCostPerEdge = 96
 
 // jobCost estimates the resident bytes a submission pins while in flight:
-// the spec, the built graph with its CSR view, and the simulator's per-arc
-// message slabs all scale with edges; vertex state scales with n. It is a
-// deliberate overestimate-leaning heuristic — admission is a memory fuse,
-// not an allocator.
+// the spec, the built graph with its CSR view, and the run's
+// edge-proportional state all scale with edges; vertex state scales with
+// n. It is a deliberate overestimate-leaning heuristic — admission is a
+// memory fuse, not an allocator.
 func jobCost(req *distcolor.Request) int64 {
 	return jobCostSansEdges(req) + int64(len(req.Graph.Edges))*jobCostPerEdge
 }
@@ -100,61 +102,36 @@ func jobCostSansEdges(req *distcolor.Request) int64 {
 	return cost
 }
 
-// admitLocked charges cost against the queue-depth and in-flight-bytes
-// bounds, returning an *OverloadError when either would be exceeded. On
-// nil it reserves both a queue slot and the byte charge: Submit journals
-// outside s.mu before the job enters the queue, so occupancy must be
-// counted at admission (queueReserved) — otherwise concurrent submissions
-// would all pass the depth check before any of them publishes, and the
-// queue bound would leak exactly under the load it exists for. The caller
-// owns the reservation: the publish path converts it into a queue entry,
-// withdraw returns it, and releaseLocked returns the bytes at the job's
-// terminal transition.
-func (s *Server) admitLocked(cost int64) error {
-	if len(s.queue)+s.queueReserved >= s.cfg.QueueDepth {
+// admitLocked grows j's admission charge by bytes, or sheds with an
+// *OverloadError and charges nothing. A job's first charge also reserves
+// its queue slot against the depth bound: submit journals outside s.mu
+// before the job enters the queue, so occupancy must be counted at
+// admission — otherwise concurrent submissions would all pass the depth
+// check before any of them publishes, and the queue bound would leak
+// exactly under the load it exists for. The byte check counts everyone
+// else's charge plus bytes, never j's own: a buffered job is charged once,
+// whole, so that is the plain bound; a stream is charged its header and
+// then each edge chunk, so it is bounded by what the REST of the server
+// holds plus one chunk — not by its own size. That asymmetry is the point
+// of chunked ingest: a graph larger than MaxInflightBytes is admissible as
+// long as each chunk fits next to everyone else's work. finish returns
+// the charge.
+func (s *Server) admitLocked(j *job, bytes int64) error {
+	if !j.slot && len(s.queue)+s.queueReserved >= s.cfg.QueueDepth {
 		s.obs.shed.Inc()
 		return &OverloadError{Reason: "queue", RetryAfter: s.retryAfterLocked()}
 	}
-	if s.cfg.MaxInflightBytes > 0 && s.inflightBytes+cost > s.cfg.MaxInflightBytes {
+	if s.cfg.MaxInflightBytes > 0 && s.inflightBytes+bytes > s.cfg.MaxInflightBytes+j.cost {
 		s.obs.shed.Inc()
 		return &OverloadError{Reason: "inflight-bytes", RetryAfter: s.retryAfterLocked()}
 	}
-	s.queueReserved++
-	s.inflightBytes += cost
-	return nil
-}
-
-// releaseLocked returns a job's admission charge; the caller holds s.mu.
-func (s *Server) releaseLocked(cost int64) {
-	s.inflightBytes -= cost
-}
-
-// admitChunkLocked charges one edge chunk of an in-progress ingest stream.
-// held is the charge the stream has accumulated so far: it is subtracted
-// from the occupancy check, so a stream is bounded by what the REST of the
-// server holds plus one chunk — not by its own size. That asymmetry is the
-// point of chunked ingest: a graph larger than MaxInflightBytes is
-// admissible as long as each chunk fits next to everyone else's work,
-// because by the time later chunks arrive the stream has already been
-// granted the earlier ones. The queue slot was reserved with the stream's
-// base charge (admitLocked), so no depth check here.
-func (s *Server) admitChunkLocked(chunk, held int64) error {
-	if s.cfg.MaxInflightBytes > 0 && s.inflightBytes-held+chunk > s.cfg.MaxInflightBytes {
-		s.obs.shed.Inc()
-		return &OverloadError{Reason: "inflight-bytes", RetryAfter: s.retryAfterLocked()}
+	if !j.slot {
+		j.slot = true
+		s.queueReserved++
 	}
-	s.inflightBytes += chunk
+	j.cost += bytes
+	s.inflightBytes += bytes
 	return nil
-}
-
-// releaseStream abandons an in-progress (or handed-off-then-rejected)
-// ingest stream: its queue reservation and accumulated byte charge return
-// to the admission budget.
-func (s *Server) releaseStream(held int64) {
-	s.mu.Lock()
-	s.queueReserved--
-	s.releaseLocked(held)
-	s.mu.Unlock()
 }
 
 // retryAfterLocked estimates when shed work could be re-submitted: the

@@ -140,7 +140,9 @@ func TestChaos(t *testing.T) {
 	if m.DeadlineExceeded < 1 {
 		fail("no job exceeded its deadline (20 carried deadline_ms=1)")
 	}
-	waitInflightZero(t, s)
+	if m.InflightBytes != 0 || m.QueueDepth != 0 {
+		fail("admission ledger holds %d bytes and %d queue entries with every accepted job terminal", m.InflightBytes, m.QueueDepth)
+	}
 
 	// Phase 2: degraded mode. Seed the cache with a known-done workload
 	// (retrying past background faults), then kill the disk.

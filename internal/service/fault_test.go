@@ -47,26 +47,17 @@ func TestPanicQuarantineKeepsDaemonAlive(t *testing.T) {
 	if m.Panicked != 1 || m.Failed != 1 {
 		t.Fatalf("panicked=%d failed=%d, want 1/1", m.Panicked, m.Failed)
 	}
-	waitInflightZero(t, s)
+	assertLedgerEmpty(t, s)
 }
 
-// waitInflightZero polls the admission ledger to zero: a job's byte charge
-// is returned shortly AFTER its done channel closes (the terminal journal
-// fsync sits between), so an instantaneous read after Wait races the release.
-// What this asserts is that the charge is returned at all, on every terminal
-// path.
-func waitInflightZero(t *testing.T, s *Server) {
+// assertLedgerEmpty checks the admission ledger right after the last Wait
+// returned: the terminal transition returns a job's byte charge and queue
+// slot before it wakes the job's waiters, so a direct read must see them
+// back, on every terminal path.
+func assertLedgerEmpty(t *testing.T, s *Server) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		m := s.Metrics()
-		if m.InflightBytes == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("admission ledger stuck at %d in-flight bytes with every job terminal", m.InflightBytes)
-		}
-		time.Sleep(time.Millisecond)
+	if m := s.Metrics(); m.InflightBytes != 0 || m.QueueDepth != 0 {
+		t.Fatalf("admission ledger holds %d in-flight bytes and %d queue entries with every job terminal", m.InflightBytes, m.QueueDepth)
 	}
 }
 
@@ -99,7 +90,7 @@ func TestJobDeadlineFromRequest(t *testing.T) {
 	if m.DeadlineExceeded != 1 || m.Failed != 0 {
 		t.Fatalf("deadline_exceeded=%d failed=%d, want 1/0 (deadline is its own terminal)", m.DeadlineExceeded, m.Failed)
 	}
-	waitInflightZero(t, s)
+	assertLedgerEmpty(t, s)
 }
 
 // TestJobTimeoutServerDefault: -job-timeout bounds every job, and a
@@ -141,7 +132,7 @@ func TestAdmitInjection(t *testing.T) {
 	if m.Rejected != 1 {
 		t.Fatalf("rejected=%d, want 1", m.Rejected)
 	}
-	waitInflightZero(t, s)
+	assertLedgerEmpty(t, s)
 }
 
 // TestPoisonQuarantineOnRecovery: a job whose journal shows poisonAttempts
@@ -261,7 +252,7 @@ func TestDegradedModeShedsAndHeals(t *testing.T) {
 	if m.Degraded != 0 {
 		t.Fatalf("degraded gauge = %d after healing, want 0", m.Degraded)
 	}
-	waitInflightZero(t, s)
+	assertLedgerEmpty(t, s)
 }
 
 // TestWaitContext: Wait is ctx-first and non-leaking — a canceled context
@@ -318,14 +309,56 @@ func TestAdmissionReleasedOnNewTerminals(t *testing.T) {
 			t.Fatalf("job %s finished %s, want %s", id, fin.State, wantStates[i])
 		}
 	}
-	waitInflightZero(t, s)
-	m := s.Metrics()
-	if m.QueueDepth != 0 {
-		t.Fatalf("queue still holds %d entries", m.QueueDepth)
-	}
+	assertLedgerEmpty(t, s)
 	if h := s.Health(); !h.Ready {
 		t.Fatalf("server not ready after fault terminals: %+v", h)
 	}
 	// The freed capacity is actually reusable.
 	waitDone(t, s, mustSubmit(t, s, cycleRequest(18)))
+}
+
+// TestTerminalReleasedBeforeVisible pins the order of the terminal
+// transition: the instant Wait returns a terminal status, the job's byte
+// charge and queue slot are already back — for a worker outcome (whose
+// terminal record is fsync'd first, widening any gap) and for a cancel
+// from the queue observed by a concurrent waiter.
+func TestTerminalReleasedBeforeVisible(t *testing.T) {
+	s := testServer(t, Config{Workers: 1, CacheEntries: -1, DataDir: t.TempDir()})
+	for i := 0; i < 8; i++ {
+		waitDone(t, s, mustSubmit(t, s, cycleRequest(12+2*i)))
+		assertLedgerEmpty(t, s)
+	}
+
+	f := frozenServer(t, Config{QueueDepth: 8, DataDir: t.TempDir()})
+	for i := 0; i < 8; i++ {
+		id := mustSubmit(t, f, cycleRequest(12+2*i))
+		seen := make(chan Metrics, 1)
+		go func() {
+			_, _ = f.Wait(context.Background(), id)
+			seen <- f.Metrics()
+		}()
+		if _, err := f.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+		if m := <-seen; m.InflightBytes != 0 || m.QueueDepth != 0 {
+			t.Fatalf("waiter woke on a canceled job with %d in-flight bytes and %d queue entries", m.InflightBytes, m.QueueDepth)
+		}
+	}
+}
+
+// TestTerminalJournalFailureDegradedBeforeVisible: a terminal record that
+// cannot be made durable still finishes the job, but the server is
+// already degraded when the job's waiter wakes — nobody sees an outcome
+// whose durability failure the server has not yet registered.
+func TestTerminalJournalFailureDegradedBeforeVisible(t *testing.T) {
+	inj := fault.NewInject(nil)
+	s := testServer(t, Config{Workers: 1, CacheEntries: -1, DataDir: t.TempDir(), FS: inj, DegradedProbe: time.Hour})
+	// From here the submission record is the first fsync and the terminal
+	// record the second (a first attempt's running record is unsynced).
+	inj.AddRule(fault.Rule{Op: fault.OpSync, Nth: 2})
+	waitDone(t, s, mustSubmit(t, s, cycleRequest(12)))
+	if h := s.Health(); !h.Degraded {
+		t.Fatalf("terminal journal failure not yet degraded when Wait returned: %+v", h)
+	}
+	assertLedgerEmpty(t, s)
 }

@@ -99,8 +99,10 @@ type Config struct {
 	// MaxInflightBytes bounds the estimated resident bytes of
 	// accepted-but-unfinished jobs (default 256 MiB; negative disables the
 	// bound). Submissions beyond it are shed with an *OverloadError. A
-	// single request whose own estimate exceeds the bound is rejected
-	// outright (not retryable) — it could never be admitted.
+	// buffered request whose own estimate exceeds the bound is shed the
+	// same way (429 "inflight-bytes"): it can never be admitted in one
+	// decision, but it can arrive via chunked ingest, which charges per
+	// chunk.
 	MaxInflightBytes int64
 	// Frozen starts the server with no workers, so accepted jobs queue
 	// forever. For admission/overload tests and benchmarks only: it turns
@@ -337,10 +339,16 @@ type job struct {
 	canon *canonForm
 	key   string
 
-	// cost is the job's admission charge (jobCost at submission), released
-	// at the terminal transition; 0 for jobs that were never charged
-	// (cache hits, recovered terminal jobs).
-	cost int64
+	// cost is the job's admission charge in bytes and slot whether it
+	// still holds a queue-depth reservation (from its first charge until it
+	// enters the queue). admitLocked grows them, finish returns them. A
+	// buffered job is charged once, whole, and only on a cache miss; a
+	// streamed job is charged its header and then each edge chunk as it is
+	// read (streamed marks it); recovered jobs are charged without
+	// admission.
+	cost     int64 // guarded by s.mu
+	slot     bool  // guarded by s.mu
+	streamed bool
 
 	// attempts counts journaled execution starts, seeded from the recovery
 	// record and incremented at worker pickup; only the worker goroutine
@@ -354,8 +362,8 @@ type job struct {
 
 	mu         sync.Mutex
 	cond       *sync.Cond          // broadcast on every state/trace change
-	done       chan struct{}       // closed exactly once, on the terminal transition
-	state      State               // guarded by mu
+	done       chan struct{}       // closed exactly once, by finish
+	state      State               // guarded by mu; "" until the job is enqueued or finished
 	err        string              // guarded by mu
 	resp       *distcolor.Response // guarded by mu
 	cacheHit   bool                // guarded by mu
@@ -370,39 +378,52 @@ type job struct {
 
 	// Lifecycle span tree (see DESIGN.md §9): offsets are µs since
 	// spanBase. spans is nil for jobs recovered terminal from the journal;
-	// mutations after the job is published happen under j.mu. The index
-	// fields are -1 until the corresponding span starts.
+	// mutations after the job is published happen under j.mu. stage is
+	// the index of the open lifecycle stage span, -1 when none is open.
 	spanBase    time.Time
 	spans       *obs.Trace
 	spanRoot    int
-	spanAdmit   int
-	spanQueue   int
-	spanExec    int
+	stage       int
 	lastRoundUS int64 // offset of the most recent observed round
 }
 
+// newJob builds the job for req: the one constructor behind Submit,
+// SubmitStream, and recovery. The job has no ID, no state, and no
+// admission charge yet.
+func (s *Server) newJob(req *distcolor.Request) *job {
+	j := &job{req: req, traceDepth: s.cfg.TraceDepth, done: make(chan struct{}), sobs: s.obs, stage: -1}
+	j.cond = sync.NewCond(&j.mu)
+	//distcolor:ignore ctxfirst a job outlives the request that submitted or replayed it; Close and /cancel cancel via j.cancel
+	j.ctx, j.cancel = context.WithCancelCause(context.Background())
+	return j
+}
+
 // initSpans roots the job's span tree at base (the submission or recovery
-// instant). Offsets derive from time.Since(base), so they ride the
-// monotonic clock.
-func (j *job) initSpans(base time.Time) {
+// instant) and opens its first stage there. Offsets derive from
+// time.Since(base), so they ride the monotonic clock.
+func (j *job) initSpans(base time.Time, stage string) {
 	j.spanBase = base
 	j.spans = obs.NewTrace(8)
-	j.spanAdmit, j.spanQueue, j.spanExec = -1, -1, -1
 	j.spanRoot = j.spans.Start("job", -1, 0)
+	j.stage = j.spans.Start(stage, j.spanRoot, 0)
 }
 
 func (j *job) sinceUS() int64 { return time.Since(j.spanBase).Microseconds() }
 
-// finishLocked moves the job to a terminal state; j.mu must be held and the
-// current state must be non-terminal.
-func (j *job) finishLocked(st State, errMsg string) {
-	j.state = st
-	j.err = errMsg
-	if j.cancel != nil {
-		j.cancel(nil) // release the job context's resources
+// nextStage ends the open stage span at t and opens the named stage there
+// ("" opens none). It returns the ended span's duration, -1 when no stage
+// was open. j.mu must be held once the job is published.
+func (j *job) nextStage(name string, t int64) int64 {
+	d := int64(-1)
+	if j.stage >= 0 {
+		j.spans.End(j.stage, t)
+		d = j.spans.Spans()[j.stage].DurUS
 	}
-	close(j.done)
-	j.cond.Broadcast()
+	j.stage = -1
+	if name != "" {
+		j.stage = j.spans.Start(name, j.spanRoot, t)
+	}
+	return d
 }
 
 func (j *job) status() JobStatus {
@@ -485,10 +506,7 @@ func NewServer(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.store = store
-		if err := s.recover(recovered); err != nil {
-			store.Close()
-			return nil, err
-		}
+		s.recover(recovered)
 		s.log.Info("job store recovered", "dir", cfg.DataDir, "jobs", s.obs.recovered.Value())
 	}
 	s.registerDerived()
@@ -509,116 +527,94 @@ func NewServer(cfg Config) (*Server, error) {
 // submissions shed until the backlog drains. Job IDs resume past the
 // journal's maximum: an ID is never reused, so restarting cannot duplicate
 // or alias a job.
-func (s *Server) recover(recs []distcolor.JobRecord) error {
-	// Recovery runs before the worker pool exists, but it mutates the same
-	// guarded state the workers will; holding s.mu keeps the lock invariant
-	// uniform (and costs one uncontended acquisition at startup).
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Server) recover(recs []distcolor.JobRecord) {
 	// Resume ID assignment past everything the journal has EVER seen — not
 	// just the recovered table: a job dropped by retention (forgotten
 	// marker) is gone from the table but its ID must stay burned, or a
 	// client still holding it would silently read a different job.
-	s.nextID = s.store.MaxJobID()
+	next := s.store.MaxJobID()
 	for i := range recs {
 		rec := &recs[i]
-		if n := jobIDNum(rec.ID); n > s.nextID {
-			s.nextID = n
-		}
+		next = max(next, jobIDNum(rec.ID))
 		if rec.Request == nil {
 			// A journal prefix can hold transition entries whose submission
 			// entry was forgotten by compaction mid-crash; nothing runnable
 			// or servable survives without the request.
 			continue
 		}
-		j := &job{
-			id:         rec.ID,
-			req:        rec.Request,
-			traceDepth: s.cfg.TraceDepth,
-			done:       make(chan struct{}),
-			cacheHit:   rec.CacheHit,
-			wallMS:     rec.WallMS,
-		}
-		j.cond = sync.NewCond(&j.mu)
-		//distcolor:ignore ctxfirst recovered jobs outlive any request; Close and /cancel cancel via j.cancel
-		j.ctx, j.cancel = context.WithCancelCause(context.Background())
-		st := State(rec.State)
-		if st.Terminal() {
-			j.state = st
-			j.err = rec.Error
-			j.resp = rec.Response
-			j.cancel(nil)
-			close(j.done)
-			s.jobs[j.id] = j
-			s.order = append(s.order, j.id)
-			s.obs.recovered.Inc()
-			continue
-		}
-		// Poison quarantine: a job that already journaled poisonAttempts
-		// execution starts without ever reaching a terminal state has taken
-		// down (or wedged) as many processes. Replaying it again would
-		// crash-loop the daemon, so it turns terminal-failed instead.
-		if rec.Attempts >= poisonAttempts {
-			j.state = StateFailed
-			j.err = fmt.Sprintf("service: job poisoned: %d execution attempts without a terminal state", rec.Attempts)
-			j.cancel(nil)
-			close(j.done)
-			s.jobs[j.id] = j
-			s.order = append(s.order, j.id)
-			s.obs.recovered.Inc()
+		j := s.newJob(rec.Request)
+		j.id = rec.ID
+		var terminal *outcome
+		if st := State(rec.State); st.Terminal() {
+			// Already durable: materialize the journaled outcome as is.
+			terminal = &outcome{state: st, err: rec.Error, resp: rec.Response, hit: rec.CacheHit, wallMS: rec.WallMS}
+		} else if rec.Attempts >= poisonAttempts {
+			// Poison quarantine: a job that already journaled poisonAttempts
+			// execution starts without ever reaching a terminal state has
+			// taken down (or wedged) as many processes. Replaying it again
+			// would crash-loop the daemon, so it turns terminal-failed.
 			s.log.Warn("poisoned job quarantined", "job", j.id, "attempts", rec.Attempts)
-			if aerr := s.store.Append(distcolor.JobRecord{ID: j.id, State: string(StateFailed), Error: j.err}, true); aerr != nil {
-				return aerr
-			}
-			continue
+			terminal = &outcome{journal: true, state: StateFailed,
+				err: fmt.Sprintf("service: job poisoned: %d execution attempts without a terminal state", rec.Attempts)}
+		} else if err := s.revive(j, rec); err != nil {
+			// The graph was validated at original submission; a request
+			// that no longer builds (schema drift across versions) turns
+			// terminal-failed rather than poisoning the queue.
+			terminal = &outcome{journal: true, state: StateFailed, err: err.Error()}
 		}
-		// Queued or running at the crash: rebuild and re-enqueue. The graph
-		// was validated at original submission; a request that no longer
-		// builds (schema drift across versions) turns terminal-failed
-		// rather than poisoning the queue.
-		g, err := rec.Request.Graph.Build()
-		if err == nil {
-			err = rec.Request.Validate()
+		if terminal != nil {
+			_ = s.finish(j, *terminal)
 		}
-		if err != nil {
-			j.state = StateFailed
-			j.err = err.Error()
-			j.cancel(nil)
-			close(j.done)
-			s.jobs[j.id] = j
-			s.order = append(s.order, j.id)
-			s.obs.recovered.Inc()
-			if aerr := s.store.Append(distcolor.JobRecord{ID: j.id, State: string(StateFailed), Error: j.err}, true); aerr != nil {
-				return aerr
-			}
-			continue
-		}
-		j.g = g
-		j.state = StateQueued
-		j.cost = jobCost(rec.Request)
-		j.attempts = rec.Attempts
-		j.sobs = s.obs
-		// Recovered jobs re-enter at the queue stage: no admit span (the
-		// admission happened in a previous process), offsets re-based at
-		// recovery time.
-		j.initSpans(time.Now())
-		j.spanQueue = j.spans.Start(stageQueue, j.spanRoot, 0)
-		if s.cache != nil &&
-			(s.cfg.CacheMaxVertices < 0 || g.N() <= s.cfg.CacheMaxVertices) &&
-			(s.cfg.CacheMaxEdges < 0 || g.M() <= s.cfg.CacheMaxEdges) {
-			canon, err := canonicalize(g, rec.Request)
-			if err == nil { // a bad cover was journaled by an older build; run uncached
-				j.canon = canon
-				j.key = cacheKey(canon, rec.Request)
-			}
-		}
-		s.inflightBytes += j.cost
+		s.mu.Lock()
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
-		s.queue = append(s.queue, j)
+		if terminal == nil {
+			j.mu.Lock()
+			j.state = StateQueued
+			j.mu.Unlock()
+			j.cost = jobCost(rec.Request)
+			s.inflightBytes += j.cost
+			s.queue = append(s.queue, j)
+		}
 		s.obs.recovered.Inc()
+		s.mu.Unlock()
+	}
+	s.mu.Lock()
+	s.nextID = next
+	s.mu.Unlock()
+}
+
+// revive rebuilds a job that was queued or running at the crash so it can
+// re-enter the queue: its graph, its cache key, and its attempt count.
+// Recovered jobs start at the queue stage: no admit span (the admission
+// happened in a previous process), offsets re-based at recovery time.
+func (s *Server) revive(j *job, rec *distcolor.JobRecord) error {
+	g, err := rec.Request.Graph.Build()
+	if err == nil {
+		err = rec.Request.Validate()
+	}
+	if err != nil {
+		return err
+	}
+	j.g = g
+	j.attempts = rec.Attempts
+	j.initSpans(time.Now(), stageQueue)
+	if s.cacheable(g) {
+		canon, err := canonicalize(g, rec.Request)
+		if err == nil { // a bad cover was journaled by an older build; run uncached
+			j.canon = canon
+			j.key = cacheKey(canon, rec.Request)
+		}
 	}
 	return nil
+}
+
+// cacheable reports whether the cache is on and g is within its
+// canonicalization bounds.
+func (s *Server) cacheable(g *distcolor.Graph) bool {
+	return s.cache != nil &&
+		(s.cfg.CacheMaxVertices < 0 || g.N() <= s.cfg.CacheMaxVertices) &&
+		(s.cfg.CacheMaxEdges < 0 || g.M() <= s.cfg.CacheMaxEdges)
 }
 
 // Close stops accepting submissions, lets queued and running jobs finish,
@@ -644,24 +640,27 @@ func (s *Server) Close() {
 // to the journal before Submit returns, so an ID handed to a client
 // survives any crash.
 func (s *Server) Submit(req *distcolor.Request) (JobStatus, error) {
-	return s.submit(req, -1)
+	return s.submit(s.newJob(req))
 }
 
-// submit is Submit's engine. pre < 0 is the buffered path: the request is
-// admitted here, in one decision. pre >= 0 is the chunked-ingest handoff
-// from SubmitStream: the request was already admitted incrementally — pre
-// bytes are charged against the in-flight budget and one queue reservation
-// is held — so admission is skipped and every rejection path must return
-// the reservation and charge (releaseStream) before erroring.
-func (s *Server) submit(req *distcolor.Request, pre int64) (JobStatus, error) {
+// submit is the one submission path behind Submit and SubmitStream. It
+// validates and cache-checks j, admits a miss, and reserves j's ID under
+// s.mu; journals the submission (or a hit's condensed record) outside the
+// lock; and only then registers — and, on a miss, enqueues — j in one s.mu
+// section, so no unjournaled job is ever findable. A buffered job is
+// charged here in one decision, and only on a miss: a cache hit is never
+// charged or shed. A streamed job arrives holding its charge. Every path
+// that drops j returns its charge through finish.
+func (s *Server) submit(j *job) (JobStatus, error) {
 	begin := time.Now() // span base: every lifecycle offset is µs since here
-	preAdmitted := pre >= 0
-	reject := func(err error) (JobStatus, error) {
-		if preAdmitted {
-			s.releaseStream(pre)
-		}
-		s.countRejected()
+	req := j.req
+	drop := func(err error) (JobStatus, error) {
+		_ = s.finish(j, outcome{state: StateFailed, err: err.Error()})
 		return JobStatus{}, err
+	}
+	reject := func(err error) (JobStatus, error) {
+		s.countRejected()
+		return drop(err)
 	}
 	if err := req.Validate(); err != nil {
 		return reject(err)
@@ -683,10 +682,10 @@ func (s *Server) submit(req *distcolor.Request, pre int64) (JobStatus, error) {
 		return reject(fmt.Errorf("service: graph has %d edges, limit %d", len(req.Graph.Edges), s.cfg.MaxEdges))
 	}
 	cost := jobCost(req)
-	if !preAdmitted && s.cfg.MaxInflightBytes > 0 && cost > s.cfg.MaxInflightBytes {
+	if !j.streamed && s.cfg.MaxInflightBytes > 0 && cost > s.cfg.MaxInflightBytes {
 		// A buffered request whose own estimate exceeds the whole budget can
 		// never be admitted in one decision — but it CAN arrive via chunked
-		// binary ingest, which admits per chunk. Shed with a 429 pointing
+		// binary ingest, which charges per chunk. Shed with a 429 pointing
 		// there rather than rejecting outright.
 		s.mu.Lock()
 		s.obs.shed.Inc()
@@ -706,18 +705,11 @@ func (s *Server) submit(req *distcolor.Request, pre int64) (JobStatus, error) {
 	if err != nil {
 		return reject(err)
 	}
-
-	j := &job{req: req, g: g, state: StateQueued, traceDepth: s.cfg.TraceDepth, done: make(chan struct{}), sobs: s.obs}
-	j.cond = sync.NewCond(&j.mu)
-	//distcolor:ignore ctxfirst a job outlives the submitting request; Close and /cancel cancel via j.cancel
-	j.ctx, j.cancel = context.WithCancelCause(context.Background())
-	j.initSpans(begin)
-	j.spanAdmit = j.spans.Start(stageAdmit, j.spanRoot, 0)
+	j.g = g
+	j.initSpans(begin, stageAdmit)
 
 	var hit *distcolor.Response
-	cacheable := s.cache != nil &&
-		(s.cfg.CacheMaxVertices < 0 || g.N() <= s.cfg.CacheMaxVertices) &&
-		(s.cfg.CacheMaxEdges < 0 || g.M() <= s.cfg.CacheMaxEdges)
+	cacheable := s.cacheable(g)
 	if cacheable {
 		canon, err := canonicalize(g, req)
 		if err != nil {
@@ -736,81 +728,21 @@ func (s *Server) submit(req *distcolor.Request, pre int64) (JobStatus, error) {
 
 	s.mu.Lock()
 	if s.closed {
-		if preAdmitted {
-			s.queueReserved--
-			s.releaseLocked(pre)
-		}
 		s.mu.Unlock()
-		return JobStatus{}, ErrClosed
+		return drop(ErrClosed)
 	}
-	if hit != nil {
-		if preAdmitted {
-			// The stream's incremental charge is no longer needed: the hit
-			// serves from cache without ever entering the queue.
-			s.queueReserved--
-			s.releaseLocked(pre)
-		}
-		// Served from cache: load re-verified the remapped coloring against
-		// this submission's graph.
-		j.state = StateDone
-		j.resp = hit
-		j.cacheHit = true
-		j.cancel(nil)
-		close(j.done)
-		// Close the span tree before the job becomes findable: a cache hit
-		// is admit followed by an instantaneous serve, no queue/execute.
-		t := j.sinceUS()
-		j.spans.End(j.spanAdmit, t)
-		sv := j.spans.Start(stageServe, j.spanRoot, t)
-		j.spans.End(sv, t)
-		j.spans.End(j.spanRoot, t)
-		s.obs.cacheHits.Inc()
-		s.obs.submitted.Inc()
-		s.obs.completed.Inc()
-		evicted := s.register(j)
-		s.mu.Unlock()
-		s.obs.observeStage(stageAdmit, t)
-		s.journalForgotten(evicted)
-		// One condensed journal entry: submitted and done in the same
-		// instant. Fsync'd and checked like the miss path's — the
-		// durability contract is that any ID handed to a client survives a
-		// crash, cache hit or not. While degraded the entry is skipped and
-		// the hit serves memory-only: the result is correct and verified,
-		// the caller gets it now, and the one documented durability gap is
-		// that this ID will not survive a restart (DESIGN.md §12).
-		if s.store != nil && degraded == "" {
-			if err := s.journal(distcolor.JobRecord{
-				ID: j.id, State: string(StateDone), Request: req, Response: hit, CacheHit: true,
-			}, true); err != nil {
-				s.log.Error("journal append failed, cache hit withdrawn", "job", j.id, "err", err)
-				s.withdrawHit(j)
-				return JobStatus{}, err
-			}
-		}
-		s.log.Debug("job served from cache", "job", j.id)
-		return j.status(), nil
-	}
-	if degraded != "" {
+	if hit == nil && degraded != "" {
 		// Read-only shed: new work cannot be made durable, so it is refused
 		// with a typed 503 — distinct from overload, because retrying sooner
 		// will not help until the journal heals.
-		if preAdmitted {
-			s.queueReserved--
-			s.releaseLocked(pre)
-		}
 		s.obs.shed.Inc()
 		ra := s.retryAfterLocked()
 		s.mu.Unlock()
 		s.log.Warn("submission shed", "reason", "degraded", "err", degraded)
-		return JobStatus{}, &DegradedError{Reason: degraded, RetryAfter: ra}
+		return drop(&DegradedError{Reason: degraded, RetryAfter: ra})
 	}
-	if preAdmitted {
-		// Chunked ingest admitted this job while reading it; the held charge
-		// (and the queue reservation taken with the first chunk) transfer to
-		// the job as-is.
-		j.cost = pre
-	} else {
-		if err := s.admitLocked(cost); err != nil {
+	if hit == nil && !j.streamed {
+		if err := s.admitLocked(j, cost); err != nil {
 			s.mu.Unlock()
 			var ov *OverloadError
 			if errors.As(err, &ov) {
@@ -818,55 +750,68 @@ func (s *Server) submit(req *distcolor.Request, pre int64) (JobStatus, error) {
 			}
 			return JobStatus{}, err
 		}
-		j.cost = cost
 	}
-	evicted := s.register(j) // the job is visible (Status finds it) but not yet runnable
+	s.nextID++
+	j.id = "j" + strconv.FormatInt(s.nextID, 10)
 	s.mu.Unlock()
-	s.journalForgotten(evicted)
 
-	if s.store != nil {
-		// Durability point: the submission entry is fsync'd before the job
-		// becomes runnable. It happens outside s.mu — an fsync per submit
-		// under the server lock would serialize every submission and stall
-		// the read endpoints — which is safe because the job is not in the
-		// queue yet: no worker can run work whose entry is not durable. On
-		// journal failure the job is withdrawn (terminal-failed for anyone
-		// who already saw it, then dropped); accepting unjournaled work
-		// would silently demote the durability contract.
-		if err := s.journal(distcolor.JobRecord{ID: j.id, State: string(StateQueued), Request: req}, true); err != nil {
-			s.log.Error("journal append failed, submission withdrawn", "job", j.id, "err", err)
-			s.withdraw(j, StateFailed, err.Error())
-			// Best-effort neutralizer: if the failure was in the fsync (the
-			// bytes may still reach disk), a terminal entry stops a restart
-			// from resurrecting work whose submission call failed.
-			_ = s.store.Append(distcolor.JobRecord{ID: j.id, State: string(StateFailed), Error: err.Error()}, false)
+	if hit != nil {
+		// Served from cache: load re-verified the remapped coloring against
+		// this submission's graph. A hit is admit followed by serve, which
+		// journals one condensed entry — submitted and done in the same
+		// instant — fsync'd like a miss's: any ID handed to a client
+		// survives a crash, cache hit or not. While degraded the entry is
+		// skipped and the hit serves memory-only: the result is correct and
+		// verified, the caller gets it now, and the one documented
+		// durability gap is that this ID will not survive a restart
+		// (DESIGN.md §12).
+		admitUS := j.sinceUS()
+		if err := s.finish(j, outcome{state: StateDone, resp: hit, hit: true, serveUS: admitUS, journal: degraded == ""}); err != nil {
 			return JobStatus{}, err
 		}
+		s.mu.Lock()
+		evicted := s.register(j)
+		s.obs.cacheHits.Inc()
+		s.obs.submitted.Inc()
+		s.obs.completed.Inc()
+		s.mu.Unlock()
+		s.obs.observeStage(stageAdmit, admitUS)
+		s.journalForgotten(evicted)
+		s.log.Debug("job served from cache", "job", j.id)
+		return j.status(), nil
 	}
+
+	// Durability point: the submission entry is fsync'd before the job is
+	// findable or runnable. It happens outside s.mu — an fsync per submit
+	// under the server lock would serialize every submission and stall the
+	// read endpoints. On journal failure the submission is refused
+	// (accepting unjournaled work would silently demote the durability
+	// contract), and the drop journals a terminal entry: if the failure was
+	// in the fsync, the bytes may still reach disk, and a restart must not
+	// resurrect work whose submission call failed.
+	if err := s.journal(distcolor.JobRecord{ID: j.id, State: string(StateQueued), Request: req}, true); err != nil {
+		s.log.Error("journal append failed, submission refused", "job", j.id, "err", err)
+		_ = s.finish(j, outcome{state: StateFailed, err: err.Error(), journal: true})
+		return JobStatus{}, err
+	}
+	admitUS := j.sinceUS()
+	j.nextStage(stageQueue, admitUS) // admit ends (journal fsync included), the queue wait begins
 
 	s.mu.Lock()
 	if s.closed {
 		// Close raced the journal write; the workers may already be gone,
-		// so the job must not enter the queue. The journaled submission is
-		// neutralized with a terminal entry (otherwise a restart would
-		// resurrect work whose submission call failed).
+		// so the job must not enter the queue. Its terminal entry stops a
+		// restart from resurrecting work whose submission call failed.
 		s.mu.Unlock()
-		s.withdraw(j, StateCanceled, ErrClosed.Error())
-		if s.store != nil {
-			_ = s.store.Append(distcolor.JobRecord{ID: j.id, State: string(StateCanceled), Error: ErrClosed.Error()}, true)
-		}
+		_ = s.finish(j, outcome{state: StateCanceled, err: ErrClosed.Error(), journal: true})
 		return JobStatus{}, ErrClosed
 	}
-	s.queueReserved-- // the reservation becomes a real queue entry
-	// Admit ends (journal fsync included) and the queue wait begins. The
-	// job is already findable, so span mutations happen under j.mu; taking
-	// j.mu inside s.mu follows the lock order, and doing it before the
-	// queue append means no worker has the job yet.
 	j.mu.Lock()
-	admitUS := j.sinceUS()
-	j.spans.End(j.spanAdmit, admitUS)
-	j.spanQueue = j.spans.Start(stageQueue, j.spanRoot, admitUS)
+	j.state = StateQueued
 	j.mu.Unlock()
+	evicted := s.register(j)
+	j.slot = false
+	s.queueReserved-- // the reservation becomes a real queue entry
 	s.queue = append(s.queue, j)
 	s.queueCond.Signal()
 	switch {
@@ -878,59 +823,16 @@ func (s *Server) submit(req *distcolor.Request, pre int64) (JobStatus, error) {
 	s.obs.submitted.Inc()
 	s.mu.Unlock()
 	s.obs.observeStage(stageAdmit, admitUS)
+	s.journalForgotten(evicted)
 	return j.status(), nil
 }
 
-// withdrawHit backs a cache-hit job out after its journal entry could not
-// be made durable: the submission errors back to the caller, so the job
-// must not remain findable (a restart would 404 an ID the caller was never
-// successfully given) and the hit counters roll back. The job object stays
-// terminal-done for any concurrent Status/Wait holder.
-func (s *Server) withdrawHit(j *job) {
-	s.mu.Lock()
-	s.obs.cacheHits.Add(-1)
-	s.obs.submitted.Add(-1)
-	s.obs.completed.Add(-1)
-	delete(s.jobs, j.id)
-	for i, id := range s.order {
-		if id == j.id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	s.mu.Unlock()
-}
-
-// withdraw backs an admitted-but-never-enqueued job out of the server: it
-// turns terminal (so Status/Wait callers that saw it resolve) and releases
-// its registration, queue reservation, and admission charge.
-func (s *Server) withdraw(j *job, st State, errMsg string) {
-	j.mu.Lock()
-	if !j.state.Terminal() {
-		j.finishLocked(st, errMsg)
-	}
-	j.mu.Unlock()
-	s.mu.Lock()
-	s.queueReserved--
-	s.releaseLocked(j.cost)
-	delete(s.jobs, j.id)
-	for i, id := range s.order {
-		if id == j.id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	s.mu.Unlock()
-}
-
-// register assigns an ID and stores the job; the caller holds s.mu. It
+// register stores a journaled job under its ID; the caller holds s.mu. It
 // returns the IDs its bounded retention evicted, which the caller journals
 // as forgotten markers AFTER releasing s.mu — an append here can trigger
 // segment rotation and full-journal compaction, far too much disk work to
 // run under the global lock.
 func (s *Server) register(j *job) (evicted []string) {
-	s.nextID++
-	j.id = "j" + strconv.FormatInt(s.nextID, 10)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	// Bounded retention: forget the oldest *finished* jobs beyond MaxJobs.
@@ -1079,8 +981,8 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
-	// Pull the job out of the queue first (s.mu before j.mu): once removed,
-	// no worker can pick it up, so this caller owns the terminal transition.
+	// Pull the job out of the queue first: once removed, no worker can pick
+	// it up, so this caller owns the terminal transition.
 	s.mu.Lock()
 	removed := false
 	for i, q := range s.queue {
@@ -1091,30 +993,17 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 		}
 	}
 	s.mu.Unlock()
+	if removed {
+		s.log.Info("job canceled while queued", "job", j.id)
+		_ = s.finish(j, outcome{state: StateCanceled, err: errJobCanceled.Error(), journal: true})
+		return j.status(), nil
+	}
 	j.mu.Lock()
-	finished := false
 	if !j.state.Terminal() {
 		j.cancelReq = true
 		j.cancel(errJobCanceled)
-		if removed {
-			j.finishLocked(StateCanceled, errJobCanceled.Error())
-			if j.spans != nil {
-				t := j.sinceUS()
-				j.spans.End(j.spanQueue, t)
-				j.spans.End(j.spanRoot, t)
-			}
-			finished = true
-		}
 	}
 	j.mu.Unlock()
-	if finished {
-		s.log.Info("job canceled while queued", "job", j.id)
-		s.mu.Lock()
-		s.obs.canceled.Inc()
-		s.releaseLocked(j.cost)
-		s.mu.Unlock()
-		_ = s.journal(distcolor.JobRecord{ID: j.id, State: string(StateCanceled), Error: errJobCanceled.Error()}, true)
-	}
 	return j.status(), nil
 }
 
@@ -1242,20 +1131,8 @@ func (s *Server) worker() {
 
 func (s *Server) runJob(j *job) {
 	j.mu.Lock()
-	if j.state != StateQueued { // canceled while queued
-		j.mu.Unlock()
-		return
-	}
 	j.state = StateRunning
-	queueUS := int64(-1)
-	if j.spans != nil {
-		t := j.sinceUS()
-		j.spans.End(j.spanQueue, t)
-		if j.spanQueue >= 0 {
-			queueUS = j.spans.Spans()[j.spanQueue].DurUS
-		}
-		j.spanExec = j.spans.Start(stageExecute, j.spanRoot, t)
-	}
+	queueUS := j.nextStage(stageExecute, j.sinceUS())
 	j.cond.Broadcast()
 	j.mu.Unlock()
 	s.obs.observeStage(stageQueue, queueUS)
@@ -1299,119 +1176,169 @@ func (s *Server) runJob(j *job) {
 		cancelDeadline()
 	}
 	wall := time.Since(start).Milliseconds()
-	var execRetUS int64
-	if j.spans != nil { // spanBase is immutable once the job is published
-		execRetUS = j.sinceUS()
-	}
+	execRetUS := j.sinceUS() // spanBase is immutable once the job is published
 
-	// Store into the cache before the job turns terminal: a waiter that
-	// resubmits the identical workload the instant Wait returns must hit.
-	if err == nil && s.cache != nil && j.canon != nil {
-		s.cache.store(j.key, j.canon, resp)
-	}
-
-	j.mu.Lock()
-	j.wallMS = wall
 	// A canceled job's error chain carries the context cancellation (the
 	// simulator wraps context.Cause, i.e. errJobCanceled). An explicit
 	// Cancel wins over every other outcome; a panic is a plain failure with
-	// a typed error; a deadline gets its own terminal state.
-	canceled := err != nil && (errors.Is(err, errJobCanceled) || errors.Is(err, context.Canceled) || j.cancelReq)
+	// a typed error; a deadline gets its own terminal state. Serve begins
+	// where ExecuteOn returned.
+	o := outcome{wallMS: wall, serveUS: execRetUS, journal: true}
 	var pe *PanicError
-	panicked := !canceled && errors.As(err, &pe)
-	deadlined := err != nil && !canceled && !panicked &&
-		(errors.Is(err, errJobDeadline) || errors.Is(err, context.DeadlineExceeded))
-	rec := distcolor.JobRecord{ID: j.id, WallMS: wall}
+	j.mu.Lock()
 	switch {
-	case canceled:
-		j.finishLocked(StateCanceled, errJobCanceled.Error())
-		rec.State, rec.Error = string(StateCanceled), errJobCanceled.Error()
-	case panicked:
-		j.finishLocked(StateFailed, pe.Error())
-		rec.State, rec.Error = string(StateFailed), pe.Error()
-	case deadlined:
-		j.finishLocked(StateDeadline, errJobDeadline.Error())
-		rec.State, rec.Error = string(StateDeadline), errJobDeadline.Error()
+	case err != nil && (errors.Is(err, errJobCanceled) || errors.Is(err, context.Canceled) || j.cancelReq):
+		o.state, o.err = StateCanceled, errJobCanceled.Error()
+	case errors.As(err, &pe):
+		o.state, o.err, o.panicked = StateFailed, pe.Error(), true
+	case errors.Is(err, errJobDeadline) || errors.Is(err, context.DeadlineExceeded):
+		o.state, o.err = StateDeadline, errJobDeadline.Error()
 	case err != nil:
-		j.finishLocked(StateFailed, err.Error())
-		rec.State, rec.Error = string(StateFailed), err.Error()
+		o.state, o.err = StateFailed, err.Error()
 	default:
-		j.resp = resp
-		j.finishLocked(StateDone, "")
-		rec.State, rec.Response = string(StateDone), resp
+		o.state, o.resp = StateDone, resp
 	}
-	// Close the span tree in the same critical section as the terminal
-	// transition, so a trace streamer woken by it always reads a finished
-	// tree. Execute ends at the last observed round; the tail up to
-	// ExecuteOn's return is the in-run verification; serve covers result
-	// publication (cache store + terminal bookkeeping). The terminal WAL
-	// fsync below is deliberately outside the tree — including it would
-	// reopen the race with streaming readers.
-	execUS, verifyUS, serveUS := int64(-1), int64(-1), int64(-1)
-	if j.spans != nil {
-		execEnd := execRetUS
-		if j.sawRound && j.lastRoundUS > 0 && j.lastRoundUS < execEnd {
-			execEnd = j.lastRoundUS
-		}
-		j.spans.End(j.spanExec, execEnd)
-		if j.spanExec >= 0 {
-			execUS = j.spans.Spans()[j.spanExec].DurUS
-		}
-		if panicked {
-			// Zero-length marker at the recovery instant, so a trace reader
-			// sees WHERE in the lifecycle the panic surfaced; the stack goes
-			// to the structured log below.
-			pi := j.spans.Start("panic", j.spanRoot, execRetUS)
-			j.spans.End(pi, execRetUS)
-		}
-		if rec.State == string(StateDone) {
-			vi := j.spans.Start(stageVerify, j.spanRoot, execEnd)
-			j.spans.End(vi, execRetUS)
-			verifyUS = execRetUS - execEnd
-		}
-		now := j.sinceUS()
-		si := j.spans.Start(stageServe, j.spanRoot, execRetUS)
-		j.spans.End(si, now)
-		serveUS = now - execRetUS
-		j.spans.End(j.spanRoot, now)
+	// Execute ends at the last observed round; on success the tail up to
+	// ExecuteOn's return is the in-run verification, which finish ends
+	// where serve begins.
+	execEnd := execRetUS
+	if j.sawRound && j.lastRoundUS > 0 && j.lastRoundUS < execEnd {
+		execEnd = j.lastRoundUS
+	}
+	verifyUS, next := int64(-1), ""
+	if o.state == StateDone {
+		verifyUS, next = execRetUS-execEnd, stageVerify
+	}
+	execUS := j.nextStage(next, execEnd)
+	if o.panicked {
+		// Zero-length marker at the recovery instant, so a trace reader
+		// sees WHERE in the lifecycle the panic surfaced; the stack goes to
+		// the structured log below.
+		pi := j.spans.Start("panic", j.spanRoot, execRetUS)
+		j.spans.End(pi, execRetUS)
 	}
 	j.mu.Unlock()
 	s.obs.observeStage(stageExecute, execUS)
 	s.obs.observeStage(stageVerify, verifyUS)
-	s.obs.observeStage(stageServe, serveUS)
-	// The terminal entry is fsync'd: it is what lets a restart serve this
-	// result instead of re-running the job. A failure cannot un-finish the
-	// job — the in-memory result keeps serving — but it does flip the
-	// server degraded (via journal), since outcomes are no longer durable.
-	if aerr := s.journal(rec, true); aerr != nil {
-		s.log.Error("terminal journal append failed", "job", j.id, "err", aerr)
-	}
-	if panicked {
+	if o.panicked {
 		s.log.Error("job panicked, failure quarantined to the job",
 			"job", j.id, "panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
 	}
-	s.log.Info("job finished", "job", j.id, "state", rec.State, "wall_ms", wall)
+	_ = s.finish(j, o)
+	s.log.Info("job finished", "job", j.id, "state", o.state, "wall_ms", wall)
+}
+
+// outcome is what a job finishes with; see finish.
+type outcome struct {
+	state    State
+	err      string
+	resp     *distcolor.Response // a done job's result
+	hit      bool                // served from the cache
+	panicked bool                // execution panicked (state failed)
+	wallMS   int64
+	// serveUS is the span offset where serve begins: where execution
+	// returned, or where a cache hit's admission ended. 0 begins it at the
+	// transition.
+	serveUS int64
+	// journal appends the terminal record. It is false for a record that
+	// is already durable (recovered terminal jobs), a job that was never
+	// journaled (refused submissions), and a cache hit served memory-only
+	// while degraded.
+	journal bool
+}
+
+// finish is the one terminal transition: every way a job ends — a worker
+// outcome, a cancel from the queue, a cache hit, a refused or closed-out
+// submission, a record materialized at recovery — goes through it, in a
+// fixed order:
+//
+//  1. A done job's result is published to the cache, so a waiter that
+//     resubmits the identical workload the instant Wait returns hits.
+//  2. The terminal record is journaled and fsync'd: it is what lets a
+//     restart serve this outcome instead of re-running the job. A failure
+//     cannot un-finish the job — the in-memory outcome keeps serving — but
+//     it flips the server degraded (via journal) and is returned.
+//  3. Under s.mu, the job's admission charge and any queue reservation
+//     return to the ledger, and the running gauge and outcome counters
+//     move — for live (queued or running) jobs only: a cache hit is
+//     counted by submit, a recovered job by recover, and a submission that
+//     never became visible by nothing.
+//  4. Under j.mu, the job turns terminal: state, result, and error set,
+//     span tree closed with serve, context canceled, done closed, waiters
+//     woken.
+//
+// So a waiter never sees an outcome that is not yet durable, nor a
+// finished job whose bytes are still charged. Call it with no lock taken,
+// from the path that owns the job's end: the worker that ran it, or a
+// path that holds it outside the queue.
+func (s *Server) finish(j *job, o outcome) error {
+	if o.serveUS == 0 && j.spans != nil {
+		o.serveUS = j.sinceUS()
+	}
+	if o.state == StateDone && !o.hit && s.cache != nil && j.canon != nil {
+		s.cache.store(j.key, j.canon, o.resp)
+	}
+	var err error
+	if o.journal {
+		rec := distcolor.JobRecord{ID: j.id, State: string(o.state), Error: o.err, WallMS: o.wallMS}
+		if o.state == StateDone {
+			rec.Response = o.resp
+		}
+		if o.hit {
+			rec.Request, rec.CacheHit = j.req, true
+		}
+		if err = s.journal(rec, true); err != nil {
+			s.log.Error("terminal journal append failed", "job", j.id, "err", err)
+		}
+	}
 
 	s.mu.Lock()
-	s.obs.running.Add(-1)
-	s.releaseLocked(j.cost)
-	switch {
-	case canceled:
-		s.obs.canceled.Inc()
-	case panicked:
-		s.obs.failed.Inc()
-		s.obs.panicked.Inc()
-	case deadlined:
-		s.obs.deadlineExceeded.Inc()
-	case err != nil:
-		s.obs.failed.Inc()
-	default:
-		s.obs.completed.Inc()
-		s.obs.roundsTotal.Add(int64(resp.Stats.Rounds))
-		s.obs.messagesTotal.Add(resp.Stats.Messages)
-		s.obs.wallMSTotal.Add(wall)
+	s.inflightBytes -= j.cost
+	j.cost = 0
+	if j.slot {
+		j.slot = false
+		s.queueReserved--
 	}
+	j.mu.Lock()
+	live := j.state == StateQueued || j.state == StateRunning
+	if j.state == StateRunning {
+		s.obs.running.Add(-1)
+	}
+	if live {
+		switch o.state {
+		case StateDone:
+			s.obs.completed.Inc()
+			s.obs.roundsTotal.Add(int64(o.resp.Stats.Rounds))
+			s.obs.messagesTotal.Add(o.resp.Stats.Messages)
+			s.obs.wallMSTotal.Add(o.wallMS)
+		case StateFailed:
+			s.obs.failed.Inc()
+			if o.panicked {
+				s.obs.panicked.Inc()
+			}
+		case StateDeadline:
+			s.obs.deadlineExceeded.Inc()
+		case StateCanceled:
+			s.obs.canceled.Inc()
+		}
+	}
+	j.state, j.err, j.resp, j.cacheHit, j.wallMS = o.state, o.err, o.resp, o.hit, o.wallMS
+	serveUS := int64(-1)
+	if j.spans != nil {
+		now := j.sinceUS()
+		j.nextStage(stageServe, o.serveUS)
+		serveUS = j.nextStage("", now)
+		j.spans.End(j.spanRoot, now)
+	}
+	j.cancel(nil) // release the job context's resources
+	close(j.done)
+	j.cond.Broadcast()
+	j.mu.Unlock()
 	s.mu.Unlock()
+	if live {
+		s.obs.observeStage(stageServe, serveUS)
+	}
+	return err
 }
 
 // execute runs one job's simulation, converting an engine panic into a

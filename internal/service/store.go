@@ -236,7 +236,7 @@ func (st *Store) Append(rec distcolor.JobRecord, sync bool) error {
 	}
 	if st.segBytes >= st.maxSeg {
 		// The record above is already durable: a maintenance failure here
-		// must not fail the append — the caller would withdraw work whose
+		// must not fail the append — the caller would refuse a submission whose
 		// journal entry survives and resurrects as a ghost job on restart.
 		st.maintErr = st.rotateLocked()
 	}

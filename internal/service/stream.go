@@ -39,22 +39,24 @@ func (s *Server) SubmitStream(rr *distcolor.RequestReader, skel *distcolor.Reque
 		return JobStatus{}, fmt.Errorf("service: stream declares %d edges, limit %d", declared, s.cfg.MaxEdges)
 	}
 
-	base := jobCostSansEdges(skel)
+	// The stream's job owns the charge from here on; every way the stream
+	// ends early returns it through finish.
+	j := s.newJob(skel)
+	j.streamed = true
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return JobStatus{}, ErrClosed
 	}
-	if err := s.admitLocked(base); err != nil {
-		s.mu.Unlock()
+	err := s.admitLocked(j, jobCostSansEdges(skel))
+	s.mu.Unlock()
+	if err != nil {
 		var ov *OverloadError
 		if errors.As(err, &ov) {
 			s.log.Warn("stream shed at header", "reason", ov.Reason, "retry_after", ov.RetryAfter)
 		}
 		return JobStatus{}, err
 	}
-	s.mu.Unlock()
-	held := base
 
 	edges := skel.Graph.Edges[:0]
 	if declared > 0 && len(edges) == 0 {
@@ -63,18 +65,18 @@ func (s *Server) SubmitStream(rr *distcolor.RequestReader, skel *distcolor.Reque
 	for {
 		chunk, done, err := rr.ReadChunk()
 		if err != nil {
-			s.releaseStream(held)
+			_ = s.finish(j, outcome{state: StateFailed, err: err.Error()})
 			s.countRejected()
 			return JobStatus{}, err
 		}
 		if done {
 			break
 		}
-		charge := int64(len(chunk)) * jobCostPerEdge
 		s.mu.Lock()
-		if err := s.admitChunkLocked(charge, held); err != nil {
-			s.mu.Unlock()
-			s.releaseStream(held)
+		err = s.admitLocked(j, int64(len(chunk))*jobCostPerEdge)
+		s.mu.Unlock()
+		if err != nil {
+			_ = s.finish(j, outcome{state: StateFailed, err: err.Error()})
 			var ov *OverloadError
 			if errors.As(err, &ov) {
 				s.log.Warn("stream shed mid-ingest", "reason", ov.Reason,
@@ -82,14 +84,12 @@ func (s *Server) SubmitStream(rr *distcolor.RequestReader, skel *distcolor.Reque
 			}
 			return JobStatus{}, err
 		}
-		s.mu.Unlock()
-		held += charge
 		edges = append(edges, chunk...)
 	}
 	skel.Graph.Edges = edges
 
 	// The stream's accumulated charge equals jobCost(skel) by construction
 	// (base + declared*jobCostPerEdge, and the reader enforced the tally),
-	// so the handoff carries exactly what a buffered admission would have.
-	return s.submit(skel, held)
+	// so the job carries exactly what a buffered admission would have.
+	return s.submit(j)
 }
